@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     ov = omsub.add_parser("verify", help="check the axioms of a lattice file")
     ov.add_argument("file")
     ov.add_argument("--cap", type=int, default=64,
-                    help="size limit for the cubic-cost exhaustive checks")
+                    help="largest lattice on which the de_morgan_triples check runs")
     orp = omsub.add_parser("report", help="pair diagnostics inside a lattice file")
     orp.add_argument("file")
     orp.add_argument("p")

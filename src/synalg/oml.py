@@ -62,22 +62,7 @@ class FiniteOml:
 
     def _bound_tables(self) -> tuple[np.ndarray, np.ndarray]:
         if self._meet is None:
-            m = len(self)
-            meet_t = -np.ones((m, m), dtype=int)
-            join_t = -np.ones((m, m), dtype=int)
-            for i in range(m):
-                for j in range(i, m):
-                    lowers = np.flatnonzero(self.leq[:, i] & self.leq[:, j])
-                    uppers = np.flatnonzero(self.leq[i, :] & self.leq[j, :])
-                    for k in lowers:
-                        if all(self.leq[x, k] for x in lowers):
-                            meet_t[i, j] = meet_t[j, i] = k
-                            break
-                    for k in uppers:
-                        if all(self.leq[k, x] for x in uppers):
-                            join_t[i, j] = join_t[j, i] = k
-                            break
-            self._meet, self._join = meet_t, join_t
+            self._meet, self._join = _bound_table(self.leq.T), _bound_table(self.leq)
         return self._meet, self._join
 
     def meet(self, i: int, j: int) -> int:
@@ -100,6 +85,28 @@ class FiniteOml:
 
     def perp(self, i: int, j: int) -> bool:
         return self.le(i, self.oc(j))
+
+
+def _chunks(m: int):
+    """Row slices that keep each (rows, m, m) grid near 2**14 entries."""
+    step = max(1, 2**14 // m**2)
+    return (slice(a, a + step) for a in range(0, m, step))
+
+
+def _bound_table(down: np.ndarray) -> np.ndarray:
+    """Meet table of the order whose down-sets are the rows of `down`: the
+    lowest k below i and j whose down-set holds all their common lower
+    bounds, or -1.  Symmetric, so only columns from the chunk's row on run."""
+    m = len(down)
+    d = down.astype(float)
+    sizes = d @ d.T
+    out = np.full((m, m), -1, dtype=np.int32)
+    for s in _chunks(m):
+        common = down[s, None, :] & down[s.start:]
+        hits = (common.reshape(-1, m).astype(float) @ d.T).reshape(common.shape)
+        ok = common & (hits == sizes[s, s.start:, None])
+        out[s, s.start:] = np.where(ok.any(-1), ok.argmax(-1), -1)
+    return np.maximum(out, out.T)
 
 
 def _closure(rel: np.ndarray) -> np.ndarray:
@@ -167,16 +174,11 @@ def format_oml(l: FiniteOml) -> str:
     lines = [f"elem {n}" for n in l.names]
     lines.append(f"bottom {l.names[l.bottom]}")
     lines.append(f"top {l.names[l.top]}")
-    m = len(l)
-    for i in range(m):
-        for j in range(m):
-            if i != j and l.leq[i, j]:
-                between = [k for k in range(m) if k not in (i, j) and l.leq[i, k] and l.leq[k, j]]
-                if not between:
-                    lines.append(f"leq {l.names[i]} {l.names[j]}")
+    strict = l.leq & ~np.eye(len(l), dtype=bool)
+    covers = strict & ~(strict @ strict)  # no third element in between
+    lines += [f"leq {l.names[i]} {l.names[j]}" for i, j in zip(*np.nonzero(covers))]
     done = set()
-    for i in range(m):
-        o = int(l.ortho[i])
+    for i, o in enumerate(l.ortho.tolist()):
         if o >= 0 and (o, i) not in done:
             lines.append(f"ortho {l.names[i]} {l.names[o]}")
             done.add((i, o))
@@ -187,56 +189,63 @@ def verify_oml(l: FiniteOml, demorgan_cap: int = 64) -> Accumulator:
     """Full axiom battery: order, bounds, lattice totality, complement
     laws, orthomodularity, and De Morgan duality.
 
-    Also reports (informationally, via boolean checks that always pass)
-    whether the lattice happens to be modular or distributive.
+    The De Morgan law for triples runs only on lattices of at most
+    `demorgan_cap` elements.
     """
     acc = Accumulator(prefix="oml.")
     m = len(l)
-    rng_all = range(m)
-    anti = all(not (l.leq[i, j] and l.leq[j, i]) for i in rng_all for j in rng_all if i != j)
+    leq, o, ar = l.leq, l.ortho, np.arange(m)
+    anti = not np.any(leq & leq.T & ~np.eye(m, dtype=bool))
     acc.check("order_antisymmetric", anti)
-    acc.check("order_reflexive", bool(np.all(np.diag(l.leq))))
-    trans = np.array_equal(l.leq, _closure(l.leq))
+    acc.check("order_reflexive", bool(np.all(np.diag(leq))))
+    trans = np.array_equal(leq, _closure(leq))
     acc.check("order_transitive", trans)
-    acc.check("bounded", all(l.leq[l.bottom, i] and l.leq[i, l.top] for i in rng_all))
+    acc.check("bounded", bool(np.all(leq[l.bottom, :]) and np.all(leq[:, l.top])))
     if not anti:
         return acc
     meet_t, join_t = l._bound_tables()
     acc.check("all_meets_exist", bool(np.all(meet_t >= 0)))
     acc.check("all_joins_exist", bool(np.all(join_t >= 0)))
-    ortho_total = bool(np.all(l.ortho >= 0))
+    ortho_total = bool(np.all(o >= 0))
     acc.check("ortho_total", ortho_total)
     if not (ortho_total and np.all(meet_t >= 0) and np.all(join_t >= 0)):
         return acc
-    acc.check("ortho_involutive", all(l.oc(l.oc(i)) == i for i in rng_all))
-    acc.check("ortho_order_reversing",
-              all(l.le(l.oc(j), l.oc(i)) for i in rng_all for j in rng_all if l.le(i, j)))
+    acc.check("ortho_involutive", bool(np.all(o[o] == ar)))
+    acc.check("ortho_order_reversing", bool(np.all(~leq | leq[np.ix_(o, o)].T)))
     acc.check("ortho_complement_law",
-              all(l.meet(i, l.oc(i)) == l.bottom and l.join(i, l.oc(i)) == l.top for i in rng_all))
-    om = all(l.join(i, l.meet(j, l.oc(i))) == j
-             for i in rng_all for j in rng_all if l.le(i, j))
-    acc.check("orthomodular_law", om)
-    dm = all(l.oc(l.join(i, j)) == l.meet(l.oc(i), l.oc(j))
-             and l.oc(l.meet(i, j)) == l.join(l.oc(i), l.oc(j))
-             for i in rng_all for j in rng_all)
-    acc.check("de_morgan_pairs", dm)
+              bool(np.all(meet_t[ar, o] == l.bottom) and np.all(join_t[ar, o] == l.top)))
+    meet_xo = meet_t[:, o]  # meet_xo[x, k] = x meet ortho(k)
+    # orthomodular law: i <= j implies i join (j meet ortho(i)) == j
+    om = np.all(~leq | (join_t[ar[:, None], meet_xo.T] == ar))
+    acc.check("orthomodular_law", bool(om))
+    meet_oo, join_oo = meet_t[np.ix_(o, o)], join_t[np.ix_(o, o)]
+    dm = np.all(o[join_t] == meet_oo) and np.all(o[meet_t] == join_oo)
+    acc.check("de_morgan_pairs", bool(dm))
     if m <= demorgan_cap:
-        dm3 = all(l.oc(l.join(l.join(i, j), k)) == l.meet(l.meet(l.oc(i), l.oc(j)), l.oc(k))
-                  for i in rng_all for j in rng_all for k in rng_all)
+        dm3 = all(np.array_equal(o[join_t[join_t[s]]], meet_xo[meet_oo[s]]) for s in _chunks(m))
         acc.check("de_morgan_triples", dm3)
     return acc
 
 
+def _lattice_tables(l: FiniteOml) -> tuple[np.ndarray, np.ndarray]:
+    meet_t, join_t = l._bound_tables()
+    if np.any(meet_t < 0) or np.any(join_t < 0):
+        raise PreconditionError("not a lattice: some meets or joins do not exist")
+    return meet_t, join_t
+
+
 def is_modular(l: FiniteOml) -> bool:
-    m = len(l)
-    return all(l.meet(p, l.join(q, r)) == l.join(l.meet(p, q), r)
-               for p in range(m) for q in range(m) for r in range(m) if l.le(r, p))
+    """p meet (q join r) == (p meet q) join r whenever r <= p."""
+    M, J = _lattice_tables(l)
+    return not any(np.any(l.leq.T[s, None, :] & (np.take(M[s], J, axis=1) != J[M[s]]))
+                   for s in _chunks(len(l)))
 
 
 def is_distributive(l: FiniteOml) -> bool:
-    m = len(l)
-    return all(l.meet(p, l.join(q, r)) == l.join(l.meet(p, q), l.meet(p, r))
-               for p in range(m) for q in range(m) for r in range(m))
+    """p meet (q join r) == (p meet q) join (p meet r) for all p, q, r."""
+    M, J = _lattice_tables(l)
+    return not any(np.any(np.take(M[s], J, axis=1) != J[M[s][:, :, None], M[s][:, None, :]])
+                   for s in _chunks(len(l)))
 
 
 # -- derived structure ---------------------------------------------------
@@ -303,11 +312,7 @@ def oml_interval(l: FiniteOml, p: int) -> tuple[FiniteOml, list[int]]:
     """
     members = [i for i in range(len(l)) if l.le(i, p)]
     pos = {g: i for i, g in enumerate(members)}
-    msize = len(members)
-    leq = np.zeros((msize, msize), dtype=bool)
-    for a in members:
-        for b in members:
-            leq[pos[a], pos[b]] = l.le(a, b)
+    leq = l.leq[np.ix_(members, members)]
     ortho = np.array([pos[l.meet(l.oc(g), p)] for g in members], dtype=int)
     sub = FiniteOml(tuple(l.names[g] for g in members), leq, ortho, pos[l.bottom], pos[p])
     return sub, members
@@ -324,14 +329,13 @@ def interval_sasaki_check(l: FiniteOml, p: int) -> Accumulator:
     sub, members = oml_interval(l, p)
     ver = verify_oml(sub)
     acc.check("interval_is_oml", ver.passed)
-    back = {i: g for i, g in enumerate(members)}
     for qi in range(len(sub)):
         for ri in range(len(sub)):
             inner = oml_sasaki(sub, qi, ri)
-            acc.check("restriction", back[inner] == oml_sasaki(l, back[qi], back[ri]))
+            acc.check("restriction", members[inner] == oml_sasaki(l, members[qi], members[ri]))
             inner_c = oml_sasaki(sub, qi, sub.oc(ri))
             acc.check("relative_complement_rule",
-                      back[inner_c] == oml_sasaki(l, back[qi], l.oc(back[ri])))
+                      members[inner_c] == oml_sasaki(l, members[qi], l.oc(members[ri])))
     return acc
 
 
@@ -537,43 +541,39 @@ def interval_center_check(l: FiniteOml) -> Accumulator:
 
 # -- generators ----------------------------------------------------------
 
+# Largest lattice the generators build: 2**8 subsets, or MO_127.
+MAX_ELEMENTS = 256
+
+
 def boolean_oml(n: int) -> FiniteOml:
     """Boolean lattice of subsets of n atoms (n <= 6 keeps names readable)."""
-    if n < 0 or n > 16:
-        raise ValueError("atom count out of range")
+    if not 0 <= n < MAX_ELEMENTS.bit_length():
+        raise ValueError(f"atom count out of range 0..{MAX_ELEMENTS.bit_length() - 1}")
     m = 1 << n
-    letters = "abcdefghijklmnop"
 
     def name(bits: int) -> str:
         if bits == 0:
             return "0"
         if bits == m - 1 and n > 0:
             return "1"
-        return "".join(letters[i] for i in range(n) if bits >> i & 1)
+        return "".join("abcdefgh"[i] for i in range(n) if bits >> i & 1)
 
     names = tuple(name(b) for b in range(m))
-    leq = np.array([[(i & j) == i for j in range(m)] for i in range(m)], dtype=bool)
-    ortho = np.array([(m - 1) ^ i for i in range(m)], dtype=int)
-    return FiniteOml(names, leq, ortho, 0, m - 1)
+    sets = np.arange(m)
+    leq = (sets[:, None] & sets) == sets[:, None]
+    return FiniteOml(names, leq, sets ^ (m - 1), 0, m - 1)
 
 
 def mo_oml(n: int) -> FiniteOml:
     """Height-two lattice with n incomparable atom pairs (0, 1, a_i, a_i')."""
-    if n < 1:
-        raise ValueError("need at least one atom pair")
-    names = ["0", "1"]
-    for i in range(n):
-        names += [f"a{i + 1}", f"a{i + 1}'"]
+    if not 1 <= n <= (MAX_ELEMENTS - 2) // 2:
+        raise ValueError(f"atom pair count out of range 1..{(MAX_ELEMENTS - 2) // 2}")
+    names = ["0", "1"] + [f"a{i}{prime}" for i in range(1, n + 1) for prime in ("", "'")]
     m = len(names)
     leq = np.eye(m, dtype=bool)
     leq[0, :] = True
     leq[:, 1] = True
-    ortho = np.zeros(m, dtype=int)
-    ortho[0], ortho[1] = 1, 0
-    for i in range(n):
-        ortho[2 + 2 * i] = 3 + 2 * i
-        ortho[3 + 2 * i] = 2 + 2 * i
-    return FiniteOml(tuple(names), leq, ortho, 0, 1)
+    return FiniteOml(tuple(names), leq, np.arange(m) ^ 1, 0, 1)
 
 
 def oml_from_projections(ps: list[Projection], cap: int = 64,

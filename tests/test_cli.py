@@ -179,6 +179,9 @@ def test_oml_subcommands(tmp_path, capsys):
     assert code == 0 and "distributive True" in out
     code, _ = run_cli(["oml", "report", tmp_path / "b.oml", "zz", "a"], capsys)
     assert code == 2
+    for args in (["boolean", "9"], ["mo", "128"], ["mo", "0"]):
+        assert main(["oml", "gen", *args]) == 2
+        assert "usage error" in capsys.readouterr().err
 
 
 def test_determinism_subprocess():
