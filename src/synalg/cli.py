@@ -278,9 +278,6 @@ def cmd_witness(args) -> int:
     except IndexError:
         print(f"usage error: {tid} needs more input files", file=sys.stderr)
         return USAGE_EXIT
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except PreconditionError as exc:
         print(f"ERROR precondition {exc}")
         return FAIL_EXIT
@@ -288,11 +285,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    try:
-        a = _load(args.file, "element")
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    a = _load(args.file, "element")
     sr = spectral_resolution(a)
     for lam, q in sr.jumps:
         print(f"JUMP {lam:.12g} rank {q.rank()}")
@@ -304,11 +297,7 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        ps = [_load(path, "projection") for path in args.files]
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    ps = [_load(path, "projection") for path in args.files]
     for i, p in enumerate(ps):
         print(f"GAMMA p{i} mask " + "".join("1" if b else "0" for b in central_cover(p).block_mask))
     for i in range(len(ps)):
@@ -327,12 +316,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        e = _load(args.e, "projection")
-        f = _load(args.f, "projection")
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    e = _load(args.e, "projection")
+    f = _load(args.f, "projection")
     res = generalized_comparability(e, f)
     _print_matrix("h", res.h)
     _print_matrix("s", res.s)
@@ -343,12 +328,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        e = _load(args.e, "projection")
-        f = _load(args.f, "projection")
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    e = _load(args.e, "projection")
+    f = _load(args.f, "projection")
     try:
         w = equal_rank_chain(e, f)
     except PreconditionError as exc:
@@ -372,11 +353,7 @@ def cmd_oml(args) -> int:
             return USAGE_EXIT
         sys.stdout.write(format_oml(l))
         return 0
-    try:
-        l = load_oml(args.file)
-    except (OSError, ParseError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    l = load_oml(args.file)
     if args.oml_command == "verify":
         acc = verify_oml(l, demorgan_cap=args.cap)
         code = _print_lines(acc.lines())
@@ -415,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
             "oml": cmd_oml,
         }[args.command]
         return handler(args)
+    except (OSError, ParseError) as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except SynalgError as exc:
         print(f"ERROR {type(exc).__name__} {exc}")
         return FAIL_EXIT

@@ -71,11 +71,6 @@ def active_tol(tol: Tolerances | None = None) -> Tolerances:
     return DEFAULT_TOL if tol is None else tol
 
 
-def set_default_tolerances(tol: Tolerances) -> None:
-    global DEFAULT_TOL
-    DEFAULT_TOL = tol
-
-
 @dataclass(frozen=True)
 class ModelShape:
     """Ordered block dimensions (n1, ..., nk) of the matrix model."""
@@ -311,6 +306,34 @@ def zero_projection(shape: ModelShape) -> Projection:
     return Projection(shape, np.zeros((shape.dim, shape.dim)))
 
 
+def block_diag(shape: ModelShape, blocks) -> np.ndarray:
+    """Dense n x n matrix with the given square blocks on the diagonal."""
+    out = np.zeros((shape.dim, shape.dim))
+    for blk, s in zip(blocks, shape.slices()):
+        out[s, s] = blk
+    return out
+
+
+def block_frame(a: Element) -> tuple[np.ndarray, np.ndarray]:
+    """Per-block eigenvalues and block-diagonal eigenvector matrix of a.
+
+    Eigenvalues are concatenated in block order (ascending within each
+    block), and the eigenvector columns are grouped by block in the same
+    order, so the frame is itself block-diagonal.
+    """
+    beig = a.block_eig()
+    return np.concatenate([w for w, _ in beig]), block_diag(a.shape, [v for _, v in beig])
+
+
+def frame_projection(shape: ModelShape, frame: np.ndarray, idx,
+                     tol: Tolerances | None = None) -> Projection:
+    """Snapped projection onto the span of the chosen frame columns."""
+    acc = np.zeros((shape.dim, shape.dim))
+    for i in idx:
+        acc += np.outer(frame[:, i], frame[:, i])
+    return as_projection(Element(shape, acc), tol=tol)
+
+
 def dist(x: EnvelopingElement, y: EnvelopingElement) -> float:
     """Spectral-norm distance between two same-shaped matrices."""
     if x.shape != y.shape:
@@ -387,27 +410,19 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
     Computed blockwise and assembled, so the eigenvector matrix is itself
     block-diagonal even for eigenvalues repeated across blocks.
     """
-    n = a.shape.dim
-    vecs = np.zeros((n, n))
-    vals = np.zeros(n)
-    pos = 0
-    for (w, v), s in zip(a.block_eig(), a.shape.slices()):
-        b = s.stop - s.start
-        vals[pos:pos + b] = w
-        vecs[s, pos:pos + b] = v
-        pos += b
+    vals, vecs = block_frame(a)
     order = np.argsort(vals, kind="stable")
     return vals[order], vecs[:, order]
 
 
 def spectral_map(a: Element, fn, cls=Element, tol: Tolerances | None = None):
     """Apply a real function to the spectrum of a, blockwise."""
-    out = np.zeros((a.shape.dim, a.shape.dim))
-    for (w, v), s in zip(a.block_eig(), a.shape.slices()):
+    blocks = []
+    for w, v in a.block_eig():
         fw = np.asarray([fn(x) for x in w], dtype=float)
         blk = (v * fw) @ v.T
-        out[s, s] = 0.5 * (blk + blk.T)
-    return cls(a.shape, out, tol=tol)
+        blocks.append(0.5 * (blk + blk.T))
+    return cls(a.shape, block_diag(a.shape, blocks), tol=tol)
 
 
 def sqrt_pos(a: Element, tol: Tolerances | None = None) -> Element:
@@ -530,13 +545,8 @@ def spectral_resolution(a: Element, tol: Tolerances | None = None) -> SpectralRe
     """
     tol = active_tol(tol)
     n = a.shape.dim
-    pairs: list[tuple[float, np.ndarray]] = []
-    for (w, v), s in zip(a.block_eig(), a.shape.slices()):
-        for i in range(len(w)):
-            full = np.zeros((n, n))
-            vec = v[:, i]
-            full[s, s] = np.outer(vec, vec)
-            pairs.append((float(w[i]), full))
+    w, frame = block_frame(a)
+    pairs = [(float(w[i]), np.outer(frame[:, i], frame[:, i])) for i in range(n)]
     pairs.sort(key=lambda t: t[0])
     width = tol.cluster * max(order_unit_norm(a), 1e-300)
     jumps: list[tuple[float, Projection]] = []

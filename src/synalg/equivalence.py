@@ -24,9 +24,12 @@ from .core import (
     Tolerances,
     active_tol,
     as_projection,
+    block_diag,
+    block_frame,
     commutes,
     dist,
     eig_sym,
+    frame_projection,
     opnorm,
     quad,
     unit,
@@ -101,21 +104,26 @@ class ComparabilityResult:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Orthogonal split of a pair into an exchanged part and unrelated rest."""
+    """Orthogonal split of a pair into an exchanged part and unrelated rest.
+
+    e and f are the split pair itself; the residuals measure how far
+    e1 + e2 and f1 + f2 recombine to them.
+    """
 
     e1: Projection
     e2: Projection
     f1: Projection
     f2: Projection
     s: Symmetry
+    e: Projection
+    f: Projection
 
     def residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
-        e = as_projection(self.e1 + self.e2)
-        f = as_projection(self.f1 + self.f2)
         g2 = central_cover(self.e2, tol)
         h2 = central_cover(self.f2, tol)
         return {
-            "e_split": dist(e, as_projection(self.e1 + self.e2)),
+            "e_split": dist(as_projection(self.e1 + self.e2, tol=tol), self.e),
+            "f_split": dist(as_projection(self.f1 + self.f2, tol=tol), self.f),
             "exchange": dist(quad(self.s, self.e1), self.f1),
             "covers_orthogonal": opnorm(g2.data @ h2.data),
         }
@@ -176,15 +184,7 @@ def equal_rank_chain(e: Projection, f: Projection, tol: Tolerances | None = None
 
 def _adapted_frame(p: Projection) -> np.ndarray:
     """Orthogonal matrix whose leading per-block columns span range(p)."""
-    n = p.shape.dim
-    cols: list[np.ndarray] = []
-    for (w, v), s in zip(p.block_eig(), p.shape.slices()):
-        order = np.argsort(-w, kind="stable")
-        for i in order:
-            full = np.zeros(n)
-            full[s] = v[:, i]
-            cols.append(full)
-    return np.column_stack(cols)
+    return block_diag(p.shape, [v[:, np.argsort(-w, kind="stable")] for w, v in p.block_eig()])
 
 
 def key_subprojection_exchange(w: EquivalenceWitness, tol: Tolerances | None = None) -> ExchangeWitness:
@@ -231,10 +231,8 @@ def _matched_rank_one_pairs(e: Projection, f: Projection, tol: Tolerances) -> li
     while related(e_rem, f_rem, tol):
         blk = next(i for i in range(e.shape.nblocks)
                    if opnorm(e_rem.block(i)) > 0.5 and opnorm(f_rem.block(i)) > 0.5)
-        a = _block_range_vector(e_rem, blk)
-        b = _block_range_vector(f_rem, blk)
-        u = as_projection(Element(e.shape, np.outer(a, a)), tol=tol)
-        v = as_projection(Element(e.shape, np.outer(b, b)), tol=tol)
+        u = _block_top_projection(e_rem, blk, tol)
+        v = _block_top_projection(f_rem, blk, tol)
         s = orthogonal_exchange_symmetry(u, v, tol)
         pairs.append(ExchangeWitness(s, u, v))
         e_rem = as_projection(e_rem - u, tol=tol)
@@ -242,13 +240,12 @@ def _matched_rank_one_pairs(e: Projection, f: Projection, tol: Tolerances) -> li
     return pairs
 
 
-def _block_range_vector(p: Projection, blk: int) -> np.ndarray:
-    w, v = p.block_eig()[blk]
-    s = p.shape.slices()[blk]
-    i = int(np.argmax(w))
-    full = np.zeros(p.shape.dim)
-    full[s] = v[:, i]
-    return full
+def _block_top_projection(p: Projection, blk: int, tol: Tolerances) -> Projection:
+    """Rank-one projection onto the top eigenvector of p inside block blk."""
+    w, frame = block_frame(p)
+    start = sum(p.shape.blocks[:blk])
+    i = start + int(np.argmax(w[start:start + p.shape.blocks[blk]]))
+    return frame_projection(p.shape, frame, [i], tol)
 
 
 def _orthogonal_pair_split(e: Projection, f: Projection, tol: Tolerances) -> Decomposition:
@@ -265,7 +262,7 @@ def _orthogonal_pair_split(e: Projection, f: Projection, tol: Tolerances) -> Dec
         s = unit(shape)
     e2 = as_projection(e - e1, tol=tol)
     f2 = as_projection(f - f1, tol=tol)
-    return Decomposition(e1, e2, f1, f2, s)
+    return Decomposition(e1, e2, f1, f2, s, e, f)
 
 
 def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances | None = None) -> Decomposition:
@@ -286,13 +283,13 @@ def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances | Non
     s1 = related_witness(e, f, tol)
     inner = _orthogonal_pair_split(e12, f12, tol)
     if e11.rank() == 0 and f11.rank() == 0:
-        return Decomposition(inner.e1, inner.e2, inner.f1, inner.f2, inner.s)
+        return Decomposition(inner.e1, inner.e2, inner.f1, inner.f2, inner.s, e, f)
     w1 = ExchangeWitness(s1.s, e11, f11) if s1 is not None else ExchangeWitness(unit(e.shape), e11, f11)
     w2 = ExchangeWitness(inner.s, inner.e1, inner.f1)
     s = finite_additivity(w1, w2, tol)
     e1 = as_projection(e11 + inner.e1, tol=tol)
     f1 = as_projection(f11 + inner.f1, tol=tol)
-    return Decomposition(e1, inner.e2, f1, inner.f2, s)
+    return Decomposition(e1, inner.e2, f1, inner.f2, s, e, f)
 
 
 def generalized_comparability(e: Projection, f: Projection, tol: Tolerances | None = None) -> ComparabilityResult:
@@ -353,13 +350,12 @@ def relative_center_witness(p: Projection, d: Projection, tol: Tolerances | None
 def _interval_spanning_set(p: Projection) -> list[Element]:
     """Compressions of the standard symmetric basis; they span pAp."""
     n = p.shape.dim
+    in_blocks = block_diag(p.shape, [np.ones((b, b)) for b in p.shape.blocks])
     out = []
-    for s in p.shape.slices():
-        for i in range(s.start, s.stop):
-            for j in range(i, s.stop):
-                b = np.zeros((n, n))
-                b[i, j] = b[j, i] = 1.0
-                out.append(quad(p, Element(p.shape, b)))
+    for i, j in zip(*np.nonzero(np.triu(in_blocks))):
+        b = np.zeros((n, n))
+        b[i, j] = b[j, i] = 1.0
+        out.append(quad(p, Element(p.shape, b)))
     return out
 
 
@@ -426,7 +422,7 @@ def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
     w, v = eig_sym(p)
     for i in range(len(w)):
         if w[i] > 0.5:
-            subs.append(as_projection(Element(shape, np.outer(v[:, i], v[:, i])), tol=tol))
+            subs.append(frame_projection(shape, v, [i], tol))
     if p.rank() > 0:
         subs.append(p)
     rng = XorShift64Star(seed)

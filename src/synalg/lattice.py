@@ -19,6 +19,7 @@ from .core import (
     Tolerances,
     active_tol,
     as_projection,
+    block_diag,
     carrier,
     commutes,
     dist,
@@ -72,35 +73,34 @@ class CentralProjection(Projection):
     def __init__(self, shape, data, *, tol: Tolerances | None = None):
         tol = active_tol(tol)
         super().__init__(shape, data, tol=tol)
-        mask = []
-        for i, b in enumerate(shape.blocks):
-            blk = self.block(i)
-            if opnorm(blk - np.eye(b)) <= tol.proj:
-                mask.append(True)
-            elif opnorm(blk) <= tol.proj:
-                mask.append(False)
-            else:
-                raise PreconditionError("projection is not blockwise 0 or 1")
-        object.__setattr__(self, "block_mask", tuple(mask))
+        mask = _central_mask(self, tol)
+        if mask is None:
+            raise PreconditionError("projection is not blockwise 0 or 1")
+        object.__setattr__(self, "block_mask", mask)
 
     @classmethod
     def from_mask(cls, shape: ModelShape, mask) -> "CentralProjection":
-        n = shape.dim
-        data = np.zeros((n, n))
-        for on, s in zip(mask, shape.slices()):
-            if on:
-                data[s, s] = np.eye(s.stop - s.start)
-        return cls(shape, data)
+        blocks = [np.eye(b) if on else np.zeros((b, b)) for on, b in zip(mask, shape.blocks)]
+        return cls(shape, block_diag(shape, blocks))
+
+
+def _central_mask(p: Projection, tol: Tolerances) -> tuple[bool, ...] | None:
+    """Which blocks of p are 1 (True) or 0 (False); None if some block is neither."""
+    mask = []
+    for i, b in enumerate(p.shape.blocks):
+        blk = p.block(i)
+        if opnorm(blk - np.eye(b)) <= tol.proj:
+            mask.append(True)
+        elif opnorm(blk) <= tol.proj:
+            mask.append(False)
+        else:
+            return None
+    return tuple(mask)
 
 
 def is_central(p: Projection, tol: Tolerances | None = None) -> bool:
     """True iff p is blockwise 0 or 1 (equivalently, commutes with the model)."""
-    tol = active_tol(tol)
-    for i, b in enumerate(p.shape.blocks):
-        blk = p.block(i)
-        if opnorm(blk - np.eye(b)) > tol.proj and opnorm(blk) > tol.proj:
-            return False
-    return True
+    return _central_mask(p, active_tol(tol)) is not None
 
 
 def center_basis(shape: ModelShape) -> list[CentralProjection]:
@@ -210,14 +210,6 @@ class IntervalModel:
 
 def interval(p: Projection, tol: Tolerances | None = None) -> IntervalModel:
     return IntervalModel(p, tol)
-
-
-def interval_ortho(m: IntervalModel, q: Projection) -> Projection:
-    return m.ortho(q)
-
-
-def interval_sasaki(m: IntervalModel, q: Projection, r: Projection) -> Projection:
-    return m.sasaki(q, r)
 
 
 def gamma_props_suite(seed: int, shape: ModelShape | None = None, trials: int = 40,

@@ -17,7 +17,9 @@ from .core import (
     Symmetry,
     as_projection,
     as_symmetry,
+    block_diag,
     eig_sym,
+    frame_projection,
     spectral_map,
 )
 
@@ -55,20 +57,14 @@ class XorShift64Star:
         """Uniform integer in range(n)."""
         return int(self.uniform() * n)
 
-    def spawn(self) -> "XorShift64Star":
-        """Independent child stream (useful for per-suite determinism)."""
-        return XorShift64Star(self.next_u64())
-
     # -- model-valued draws -------------------------------------------
     def element(self, shape: ModelShape) -> Element:
         """Random symmetric element, entries uniform in [-1, 1] symmetrized."""
-        n = shape.dim
-        m = np.zeros((n, n))
-        for s in shape.slices():
-            b = s.stop - s.start
+        blocks = []
+        for b in shape.blocks:
             raw = np.array([[2.0 * self.uniform() - 1.0 for _ in range(b)] for _ in range(b)])
-            m[s, s] = 0.5 * (raw + raw.T)
-        return Element(shape, m)
+            blocks.append(0.5 * (raw + raw.T))
+        return Element(shape, block_diag(shape, blocks))
 
     def positive_element(self, shape: ModelShape) -> Element:
         a = self.element(shape)
@@ -96,8 +92,4 @@ class XorShift64Star:
         """Random subprojection spanned by a subset of p's eigenvectors."""
         w, v = eig_sym(p)
         keep = [i for i in range(len(w)) if w[i] > 0.5 and self.uniform() < 0.5]
-        n = p.shape.dim
-        acc = np.zeros((n, n))
-        for i in keep:
-            acc += np.outer(v[:, i], v[:, i])
-        return as_projection(Element(p.shape, acc))
+        return frame_projection(p.shape, v, keep)

@@ -22,10 +22,12 @@ from .core import (
     absolute,
     active_tol,
     as_projection,
+    block_frame,
     carrier,
     commutes,
     dist,
     eig_sym,
+    frame_projection,
     inverse,
     jordan,
     leq,
@@ -44,6 +46,7 @@ from .core import (
     zero,
 )
 from .lattice import (
+    center_basis,
     center_elements,
     central_cover,
     compatible,
@@ -133,13 +136,6 @@ class SuiteConfig:
 
 # -- instance generators --------------------------------------------------
 
-def frame_projection(shape: ModelShape, frame: np.ndarray, idx) -> Projection:
-    acc = np.zeros((shape.dim, shape.dim))
-    for i in idx:
-        acc += np.outer(frame[:, i], frame[:, i])
-    return as_projection(Element(shape, acc))
-
-
 def random_frame(rng: XorShift64Star, shape: ModelShape) -> np.ndarray:
     _, v = eig_sym(rng.element(shape))
     return v
@@ -183,15 +179,6 @@ def exchanged_complement_pair(rng: XorShift64Star, shape: ModelShape) -> Exchang
     return None
 
 
-def block_frame_columns(rng: XorShift64Star, shape: ModelShape, blk: int) -> np.ndarray:
-    """Random orthonormal columns spanning one block, embedded full-size."""
-    w, v = rng.element(shape).block_eig()[blk]
-    s = shape.slices()[blk]
-    full = np.zeros((shape.dim, len(w)))
-    full[s, :] = v
-    return full
-
-
 def orthogonal_pair_with_chain(rng: XorShift64Star, shape: ModelShape):
     """Orthogonal equal-rank pair joined by a genuine two-step chain.
 
@@ -205,17 +192,11 @@ def orthogonal_pair_with_chain(rng: XorShift64Star, shape: ModelShape):
     blk = candidates[rng.randint(len(candidates))]
     nb = shape.blocks[blk]
     r = 1 + rng.randint(max(1, nb // 3))
-    v = block_frame_columns(rng, shape, blk)
-
-    def pick(idx):
-        acc = np.zeros((shape.dim, shape.dim))
-        for i in idx:
-            acc += np.outer(v[:, i], v[:, i])
-        return as_projection(Element(shape, acc))
-
-    e = pick(range(r))
-    m = pick(range(r, 2 * r))
-    f = pick(range(2 * r, 3 * r))
+    _, v = block_frame(rng.element(shape))
+    start = sum(shape.blocks[:blk])
+    e = frame_projection(shape, v, range(start, start + r))
+    m = frame_projection(shape, v, range(start + r, start + 2 * r))
+    f = frame_projection(shape, v, range(start + 2 * r, start + 3 * r))
     s1 = orthogonal_exchange_symmetry(e, m)
     s2 = orthogonal_exchange_symmetry(m, f)
     return e, f, s1, s2
@@ -251,16 +232,18 @@ def cross_orthogonal_witnesses(rng: XorShift64Star, shape: ModelShape) -> tuple[
 def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: int) -> list[ExchangeWitness]:
     """Matched orthogonal rank-one pairs, paired inside blocks."""
     ws: list[ExchangeWitness] = []
-    for blk, nb in enumerate(shape.blocks):
+    start = 0
+    for nb in shape.blocks:
         if len(ws) >= parts:
             break
-        v = block_frame_columns(rng, shape, blk)
+        _, v = block_frame(rng.element(shape))
         for i in range(nb // 2):
             if len(ws) >= parts:
                 break
-            e = as_projection(Element(shape, np.outer(v[:, 2 * i], v[:, 2 * i])))
-            f = as_projection(Element(shape, np.outer(v[:, 2 * i + 1], v[:, 2 * i + 1])))
+            e = frame_projection(shape, v, [start + 2 * i])
+            f = frame_projection(shape, v, [start + 2 * i + 1])
             ws.append(ExchangeWitness(orthogonal_exchange_symmetry(e, f), e, f))
+        start += nb
     return ws
 
 
@@ -343,11 +326,7 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         w, v = eig_sym(a)
         car = carrier(a)
         for bits in range(1 << small.dim):
-            qm = np.zeros((small.dim, small.dim))
-            for i in range(small.dim):
-                if bits >> i & 1:
-                    qm += np.outer(v[:, i], v[:, i])
-            q = as_projection(Element(small, qm))
+            q = frame_projection(small, v, [i for i in range(small.dim) if bits >> i & 1])
             if opnorm(a.data @ q.data - a.data) <= 1e-10 * (1 + order_unit_norm(a)):
                 below = float(np.min((q - car).eigenvalues()))
                 acc.observe("synalg.carrier_minimality", max(0.0, -below), active_tol(tol).psd)
@@ -438,13 +417,9 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         for a in masks for b in masks for c in masks)
     acc.check("lattice.commutative_model_distributive", ops_match_masks and masks_distribute)
     acc.extend(gamma_props_suite(rng.next_u64(), shape, trials=max(10, trials // 2), tol=tol))
+    blocks = center_basis(shape)
     for _ in range(max(4, trials // 4)):
-        fam = []
-        for i in range(shape.nblocks):
-            mask = [j == i for j in range(shape.nblocks)]
-            block_p = rng.subprojection(
-                as_projection(Element(shape, _mask_matrix(shape, mask))))
-            fam.append(block_p)
+        fam = [rng.subprojection(c) for c in blocks]
         witness = centrally_orthogonal(fam, tol)
         acc.check("lattice.blockwise_family_centrally_orthogonal", witness is not None)
         if witness is not None:
@@ -461,14 +436,6 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
             acc.check("lattice.colliding_covers_rejected",
                       centrally_orthogonal([a, b], tol) is None)
     acc.check("lattice.unit_join_identity", dist(join(one_p, rng.projection(shape)), one_p) <= 1e-8)
-
-
-def _mask_matrix(shape: ModelShape, mask) -> np.ndarray:
-    out = np.zeros((shape.dim, shape.dim))
-    for on, s in zip(mask, shape.slices()):
-        if on:
-            out[s, s] = np.eye(s.stop - s.start)
-    return out
 
 
 def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
@@ -605,9 +572,7 @@ def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelS
         r = d.residuals(tol)
         acc.observe("comparability.decomposition_exchange", r["exchange"], 1e-8)
         acc.observe("comparability.decomposition_covers_orthogonal", r["covers_orthogonal"], 1e-8)
-        acc.observe("comparability.decomposition_recombines",
-                    dist(as_projection(d.e1 + d.e2, tol=tol), e)
-                    + dist(as_projection(d.f1 + d.f2, tol=tol), f), 1e-8)
+        acc.observe("comparability.decomposition_recombines", r["e_split"] + r["f_split"], 1e-8)
         gc = generalized_comparability(e, f, tol)
         res = gc.residuals(tol)
         acc.observe("comparability.split_eh_under_fh", res["seh_below_fh"], tol.psd)
@@ -694,8 +659,9 @@ def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolera
             acc.check("comparability.sixpiece_equivalence", False)
 
 
-def run_oml_suite(acc: Accumulator, rng: XorShift64Star, trials: int,
-                  tol: Tolerances | None = None) -> None:
+def run_oml_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
+                  trials: int, tol: Tolerances | None = None) -> None:
+    """Finite OML checks; `shape` is unused, since the suite builds its own."""
     tol = active_tol(tol)
     for n in (2, 3, 4):
         b = boolean_oml(n)
@@ -775,14 +741,6 @@ def run_suites(cfg: SuiteConfig) -> list[ReportLine]:
         if name not in cfg.suites:
             continue
         rng = XorShift64Star((cfg.seed << 8) + idx)
-        if name == "synalg":
-            run_synalg_suite(acc, rng, cfg.shape, cfg.trials, tol)
-        elif name == "lattice":
-            run_lattice_suite(acc, rng, cfg.shape, cfg.trials, tol)
-        elif name == "symmetry":
-            run_symmetry_suite(acc, rng, cfg.shape, cfg.trials, tol)
-        elif name == "comparability":
-            run_comparability_suite(acc, rng, cfg.shape, cfg.trials, tol)
-        elif name == "oml":
-            run_oml_suite(acc, rng, cfg.trials, tol)
+        # Looked up at call time, so a wrapped run_<name>_suite is the one called.
+        globals()[f"run_{name}_suite"](acc, rng, cfg.shape, cfg.trials, tol)
     return acc.lines()

@@ -27,13 +27,14 @@ from .core import (
     active_tol,
     as_projection,
     as_symmetry,
+    block_frame,
     dist,
     env_mul,
     opnorm,
     quad,
     signum,
     symmetrize_sum,
-    unit,
+    unit_projection,
     zero,
 )
 from .lattice import join, meet, orthogonal, ortho, sasaki
@@ -52,21 +53,6 @@ class ExchangeWitness:
 
     def verify(self, tol: Tolerances | None = None) -> bool:
         return self.residual() <= active_tol(tol).proj
-
-
-@dataclass(frozen=True)
-class PartialSymmetry:
-    """Element whose square is a projection; a symmetry of its own support."""
-
-    t: Element
-
-    def support(self, tol: Tolerances | None = None) -> Projection:
-        return as_projection(jordan_square(self.t), snap=False, tol=tol)
-
-    def verify(self, tol: Tolerances | None = None) -> bool:
-        tol = active_tol(tol)
-        sq = jordan_square(self.t)
-        return opnorm(sq.data @ sq.data - sq.data) <= tol.proj
 
 
 def jordan_square(a: Element) -> Element:
@@ -90,7 +76,7 @@ class PerspectivityWitness:
         tol = active_tol(tol)
         w = self.common_complement
         shape = self.e.shape
-        top = self.ambient if self.ambient is not None else as_projection(unit(shape) - zero(shape))
+        top = self.ambient if self.ambient is not None else unit_projection(shape)
         return {
             "join_e": dist(join(self.e, w, tol), top),
             "join_f": dist(join(self.f, w, tol), top),
@@ -164,7 +150,7 @@ def parallelogram_exchange(e: Projection, f: Projection, tol: Tolerances | None 
 def complement_exchange(e: Projection, f: Projection, tol: Tolerances | None = None) -> Symmetry:
     """For complements e, f: the symmetry exchanging e with ortho(f)."""
     tol = active_tol(tol)
-    if opnorm(meet(e, f, tol).data) > tol.proj or dist(join(e, f, tol), as_projection(unit(e.shape) - zero(e.shape))) > tol.proj:
+    if opnorm(meet(e, f, tol).data) > tol.proj or dist(join(e, f, tol), unit_projection(e.shape)) > tol.proj:
         raise PreconditionError("complement_exchange: e and f are not complements")
     return parallelogram_exchange(e, f, tol).s
 
@@ -184,7 +170,7 @@ def related_witness(e: Projection, f: Projection, tol: Tolerances | None = None)
 def common_complement_from_exchange(w: ExchangeWitness, tol: Tolerances | None = None) -> PerspectivityWitness:
     """For exchanged complements e, f: the projection (1 + s)/2 complements both."""
     tol = active_tol(tol)
-    one = as_projection(unit(w.e.shape) - zero(w.e.shape))
+    one = unit_projection(w.e.shape)
     if opnorm(meet(w.e, w.f, tol).data) > tol.proj or dist(join(w.e, w.f, tol), one) > tol.proj:
         raise PreconditionError("inputs are not complements in the lattice")
     p = proj_from_sym(w.s, tol)
@@ -343,22 +329,6 @@ def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None
 
 # -- orthogonal-basis helpers --------------------------------------------
 
-def range_basis(p: Projection, tol: Tolerances | None = None) -> np.ndarray:
-    """Orthonormal columns spanning the range of p, grouped by block."""
-    tol = active_tol(tol)
-    cols = []
-    n = p.shape.dim
-    for (w, v), s in zip(p.block_eig(), p.shape.slices()):
-        for i in range(len(w)):
-            if w[i] > 0.5:
-                full = np.zeros(n)
-                full[s] = v[:, i]
-                cols.append(full)
-    if not cols:
-        return np.zeros((n, 0))
-    return np.column_stack(cols)
-
-
 def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances | None = None) -> Symmetry:
     """Symmetry exchanging orthogonal projections of equal blockwise rank.
 
@@ -372,37 +342,16 @@ def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances |
         raise PreconditionError("blockwise ranks differ; no exchanging symmetry exists")
     n = e.shape.dim
     x = np.zeros((n, n))
-    be = _blockwise_range_vectors(e)
-    bf = _blockwise_range_vectors(f)
-    for ae, af in zip(be, bf):
+    for ae, af in zip(_range_columns(e).T, _range_columns(f).T):
         x += np.outer(af, ae)
     t = Element(e.shape, x + x.T)
     return canonical_extension(t, tol)
 
 
-def _blockwise_range_vectors(p: Projection) -> list[np.ndarray]:
-    n = p.shape.dim
-    out = []
-    for (w, v), s in zip(p.block_eig(), p.shape.slices()):
-        for i in range(len(w)):
-            if w[i] > 0.5:
-                full = np.zeros(n)
-                full[s] = v[:, i]
-                out.append(full)
-    return out
-
-
-def block_diagonal_frame(a: Element) -> np.ndarray:
-    """Orthogonal block-diagonal matrix of eigenvectors of a.
-
-    Unlike the globally sorted eigendecomposition, columns stay grouped
-    by block, so the assembled matrix is itself block-diagonal.
-    """
-    n = a.shape.dim
-    out = np.zeros((n, n))
-    for (_, v), s in zip(a.block_eig(), a.shape.slices()):
-        out[s, s] = v
-    return out
+def _range_columns(p: Projection) -> np.ndarray:
+    """Orthonormal columns spanning the range of p, grouped by block."""
+    w, frame = block_frame(p)
+    return frame[:, w > 0.5]
 
 
 def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances | None = None) -> list[Symmetry]:

@@ -191,3 +191,17 @@ def test_determinism_subprocess():
     r2 = subprocess.run(cmd, capture_output=True, text=True)
     assert r1.returncode == 0 and r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_missing_file_is_io_error(matdir, capsys):
+    missing = matdir / "missing.mat"
+    for args in (["spectra", missing],
+                 ["lattice", matdir / "e.mat", missing],
+                 ["compare", matdir / "e.mat", missing],
+                 ["equiv", missing, matdir / "f.mat"],
+                 ["oml", "verify", matdir / "missing.oml"],
+                 ["oml", "report", matdir / "missing.oml", "a", "b"]):
+        assert main([str(a) for a in args]) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error"), args
+        assert captured.out == "", args

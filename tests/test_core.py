@@ -313,3 +313,27 @@ def test_immutability():
         a.data[0, 0] = 5.0
     with pytest.raises(AttributeError):
         a.data = np.zeros((2, 2))
+
+
+def test_block_layout_helpers():
+    from synalg.core import block_diag, block_frame, frame_projection
+
+    sh = ModelShape((2, 3))
+    d = block_diag(sh, [np.full((2, 2), 1.0), np.full((3, 3), 2.0)])
+    assert d.shape == (5, 5)
+    assert (d[:2, :2] == 1.0).all() and (d[2:, 2:] == 2.0).all()
+    assert (d[:2, 2:] == 0.0).all() and (d[2:, :2] == 0.0).all()
+    a = XorShift64Star(11).element(sh)
+    w, v = block_frame(a)
+    # eigenvalues ascend within each block, in block order; the frame is block-diagonal
+    assert np.all(np.diff(w[:2]) >= 0) and np.all(np.diff(w[2:]) >= 0)
+    assert (v[:2, 2:] == 0.0).all() and (v[2:, :2] == 0.0).all()
+    assert np.abs(v @ np.diag(w) @ v.T - a.data).max() < 1e-12
+    ws, vs = eig_sym(a)
+    order = np.argsort(w, kind="stable")
+    assert (ws == w[order]).all() and (vs == v[:, order]).all()
+    p = frame_projection(sh, v, [0, 3])
+    assert p.block_ranks() == (1, 1)
+    want = np.outer(v[:, 0], v[:, 0]) + np.outer(v[:, 3], v[:, 3])
+    assert np.abs(p.data - want).max() < 1e-12
+    assert frame_projection(sh, v, []).rank() == 0

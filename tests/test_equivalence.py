@@ -1,6 +1,7 @@
 """Equivalence relation, decompositions, comparability, relative center."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,10 +166,23 @@ def test_orthogonal_decomposition_randomized():
             r = d.residuals()
             assert r["exchange"] < 1e-8
             assert r["covers_orthogonal"] < 1e-8
+            assert r["e_split"] < 1e-8 and r["f_split"] < 1e-8
             assert dist(as_projection(d.e1 + d.e2), e) < 1e-8
             assert dist(as_projection(d.f1 + d.f2), f) < 1e-8
             assert orthogonal(d.e1, d.e2) and orthogonal(d.f1, d.f2)
             assert not related(d.e2, d.f2)
+
+
+def test_decomposition_split_residuals_detect_corruption():
+    d1 = np.zeros((4, 4)); d1[0, 0] = 1.0
+    d2 = np.zeros((4, 4)); d2[2, 2] = 1.0
+    d = orthogonal_decomposition(Projection(SH22, d1), Projection(SH22, d2))
+    r = d.residuals()
+    assert r["e_split"] < 1e-8 and r["f_split"] < 1e-8
+    # here e2 = e, so a corrupted e2 no longer recombines to e
+    bad = replace(d, e2=d.f2)
+    assert bad.residuals()["e_split"] > 1e-8
+    assert bad.residuals()["f_split"] == r["f_split"]
 
 
 def test_generalized_comparability():

@@ -29,8 +29,6 @@ from synalg.lattice import (
     compatible,
     gamma_props_suite,
     interval,
-    interval_ortho,
-    interval_sasaki,
     is_central,
     join,
     meet,
@@ -201,9 +199,9 @@ def test_interval_model():
     m = interval(p)
     q = meet(rng.projection(sh), p)
     r = meet(rng.projection(sh), p)
-    assert dist(interval_ortho(m, q), as_projection(p - q)) < 1e-10
-    assert interval_ortho(m, p).rank() == 0
-    assert dist(interval_sasaki(m, q, r), sasaki(q, r)) < 1e-7
+    assert dist(m.ortho(q), as_projection(p - q)) < 1e-10
+    assert m.ortho(p).rank() == 0
+    assert dist(m.sasaki(q, r), sasaki(q, r)) < 1e-7
     with pytest.raises(PreconditionError):
         m.ortho(unit_projection_3())
     full = interval(Projection(sh, np.eye(3)))

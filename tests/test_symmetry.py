@@ -68,17 +68,6 @@ def test_proj_sym_correspondence():
         assert dist(proj_from_sym(sym_from_proj(p)), p) < 1e-12
 
 
-def test_partial_symmetry_wrapper():
-    from synalg.symmetry import PartialSymmetry
-
-    sh = ModelShape((3,))
-    t = Element(sh, np.diag([1.0, -1.0, 0.0]))
-    ps = PartialSymmetry(t)
-    assert ps.verify()
-    assert ps.support().rank() == 2
-    assert not PartialSymmetry(Element(sh, np.diag([0.5, 0.0, 0.0]))).verify()
-
-
 def test_abs_operator():
     a = Element(SH2, [[2.0, 0.0], [0.0, -3.0]])
     assert np.allclose(abs(a).data, np.diag([2.0, 3.0]), atol=1e-12)
@@ -367,12 +356,12 @@ def test_perspective_and_orthogonal_compose():
 
 
 def test_householder_factors_reconstruct():
-    from synalg.symmetry import block_diagonal_frame
+    from synalg.core import block_frame
 
     rng = XorShift64Star(44)
     for shape in (ModelShape((5,)), ModelShape((2, 3))):
         for _ in range(10):
-            v = block_diagonal_frame(rng.element(shape))
+            _, v = block_frame(rng.element(shape))
             factors = householder_factors(v, shape)
             acc = np.eye(shape.dim)
             for h in factors:
