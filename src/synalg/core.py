@@ -10,10 +10,26 @@ appear inside witness constructions.
 
 All values are immutable after construction and all operations are pure,
 so concurrent evaluation over independent inputs is safe.
+
+Validation.  The public constructors (`EnvelopingElement(...)`,
+`Element(...)`, `Projection(...)`, `Symmetry(...)`), which take matrices
+from files, the CLI and callers, check everything: the n x n size, finite
+entries, exact zeros outside the blocks and, for `Element`, symmetry to
+tolerance before symmetrizing.  Results that this module builds itself
+wrap a fresh array through the internal `_built` constructor, which checks
+only finiteness and the drift of the class invariant (idempotence for
+`Projection`, involution for `Symmetry`).  Those results need nothing
+more: `spectral_map` assembles blocks of the form (b + b^T) / 2 through
+`block_diag`, and sums, differences and scalar multiples of exactly
+symmetric matrices are exactly symmetric, so no symmetrization can move a
+bit; finite block-diagonal operands give sums and products whose entries
+off the blocks are exact zeros.  Results that are symmetric only up to
+rounding, such as the compression a b a, go through the full constructor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -84,21 +100,25 @@ class ModelShape:
         if any(b < 1 for b in blocks):
             raise ValueError("block dimensions must be >= 1")
         object.__setattr__(self, "blocks", blocks)
+        starts = itertools.accumulate(blocks[:-1], initial=0)
+        object.__setattr__(self, "_slices", tuple(slice(a, a + b) for a, b in zip(starts, blocks)))
 
     @property
     def dim(self) -> int:
-        return sum(self.blocks)
+        return self._slices[-1].stop
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
 
-    def slices(self) -> list[slice]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(slice(start, start + b))
-            start += b
-        return out
+    def slices(self) -> tuple[slice, ...]:
+        """Row and column slice of each block, in block order."""
+        return self._slices
+
+    def columns(self, i: int) -> range:
+        """Indices of the rows and columns of block i."""
+        s = self._slices[i]
+        return range(s.start, s.stop)
 
     def __str__(self) -> str:
         return ",".join(str(b) for b in self.blocks)
@@ -118,16 +138,26 @@ def _offblock_mask(shape: ModelShape) -> np.ndarray:
     return mask
 
 
+def _check_finite(data: np.ndarray) -> None:
+    if not np.isfinite(data).all():
+        raise ValueError("matrix entries must be finite")
+
+
 def _check_block_zeros(shape: ModelShape, data: np.ndarray) -> None:
     if np.any(data[_offblock_mask(shape)] != 0.0):
         raise ValueError("entries outside the diagonal blocks must be exactly zero")
 
 
 def opnorm(x: np.ndarray) -> float:
-    """Spectral norm; the matrix norm used for residuals throughout."""
+    """Spectral norm; the matrix norm used for residuals throughout.
+
+    The largest singular value from the same LAPACK call that
+    `np.linalg.norm(x, 2)` makes, without its axis handling; the result
+    is bit-identical.
+    """
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
 def _fro(x: np.ndarray) -> float:
@@ -151,13 +181,32 @@ class EnvelopingElement:
         n = shape.dim
         if arr.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
+        _check_finite(arr)
         _check_block_zeros(shape, arr)
+        self._wrap(shape, arr)
+
+    @classmethod
+    def _built(cls, shape: ModelShape, arr: np.ndarray, tol: Tolerances | None = None):
+        """Wrap a fresh n x n array that this module built, without copying it.
+
+        The caller guarantees zeros outside the blocks and, for `Element`
+        and its subclasses, exact symmetry.  Only finiteness and the class
+        invariant's drift are checked.
+        """
+        _check_finite(arr)
+        out = object.__new__(cls)
+        out._wrap(shape, arr)
+        out._drift(active_tol(tol))
+        return out
+
+    def _wrap(self, shape: ModelShape, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "_beig", None)
+
+    def _drift(self, tol: Tolerances) -> None:
+        """Raise DriftError if the class invariant fails; none here."""
 
     def __setattr__(self, name, value):
         raise AttributeError("elements are immutable")
@@ -173,28 +222,28 @@ class EnvelopingElement:
     def __add__(self, other):
         other = self._coerce(other)
         cls = Element if isinstance(self, Element) and isinstance(other, Element) else EnvelopingElement
-        return cls(self.shape, self.data + other.data)
+        return cls._built(self.shape, self.data + other.data)
 
     def __sub__(self, other):
         other = self._coerce(other)
         cls = Element if isinstance(self, Element) and isinstance(other, Element) else EnvelopingElement
-        return cls(self.shape, self.data - other.data)
+        return cls._built(self.shape, self.data - other.data)
 
     def __neg__(self):
         cls = Element if isinstance(self, Element) else EnvelopingElement
-        return cls(self.shape, -self.data)
+        return cls._built(self.shape, -self.data)
 
     def __mul__(self, lam):
         if not isinstance(lam, (int, float)):
             return NotImplemented
         cls = Element if isinstance(self, Element) else EnvelopingElement
-        return cls(self.shape, float(lam) * self.data)
+        return cls._built(self.shape, float(lam) * self.data)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        return EnvelopingElement(self.shape, self.data @ other.data)
+        return EnvelopingElement._built(self.shape, self.data @ other.data)
 
     @property
     def T(self) -> "EnvelopingElement":
@@ -260,6 +309,9 @@ class Projection(Element):
     def __init__(self, shape, data, *, tol: Tolerances | None = None):
         tol = active_tol(tol)
         super().__init__(shape, data, tol=tol)
+        self._drift(tol)
+
+    def _drift(self, tol: Tolerances) -> None:
         res = _fro(self.data @ self.data - self.data)
         if res > tol.proj:
             raise DriftError(f"not a projection: |p^2 - p| = {res:.3e}")
@@ -279,7 +331,10 @@ class Symmetry(Element):
     def __init__(self, shape, data, *, tol: Tolerances | None = None):
         tol = active_tol(tol)
         super().__init__(shape, data, tol=tol)
-        res = _fro(self.data @ self.data - np.eye(shape.dim))
+        self._drift(tol)
+
+    def _drift(self, tol: Tolerances) -> None:
+        res = _fro(self.data @ self.data - np.eye(self.shape.dim))
         if res > tol.proj:
             raise DriftError(f"not a symmetry: |s^2 - 1| = {res:.3e}")
 
@@ -422,7 +477,7 @@ def spectral_map(a: Element, fn, cls=Element, tol: Tolerances | None = None):
         fw = np.asarray([fn(x) for x in w], dtype=float)
         blk = (v * fw) @ v.T
         blocks.append(0.5 * (blk + blk.T))
-    return cls(a.shape, block_diag(a.shape, blocks), tol=tol)
+    return cls._built(a.shape, block_diag(a.shape, blocks), tol)
 
 
 def sqrt_pos(a: Element, tol: Tolerances | None = None) -> Element:

@@ -243,8 +243,8 @@ def _matched_rank_one_pairs(e: Projection, f: Projection, tol: Tolerances) -> li
 def _block_top_projection(p: Projection, blk: int, tol: Tolerances) -> Projection:
     """Rank-one projection onto the top eigenvector of p inside block blk."""
     w, frame = block_frame(p)
-    start = sum(p.shape.blocks[:blk])
-    i = start + int(np.argmax(w[start:start + p.shape.blocks[blk]]))
+    cols = p.shape.columns(blk)
+    i = cols[int(np.argmax(w[cols.start:cols.stop]))]
     return frame_projection(p.shape, frame, [i], tol)
 
 

@@ -33,7 +33,7 @@ from .report import Accumulator
 
 def ortho(p: Projection, tol: Tolerances | None = None) -> Projection:
     """Orthocomplement 1 - p."""
-    return Projection(p.shape, np.eye(p.shape.dim) - p.data, tol=active_tol(tol))
+    return Projection._built(p.shape, np.eye(p.shape.dim) - p.data, tol)
 
 
 def join(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
@@ -80,8 +80,14 @@ class CentralProjection(Projection):
 
     @classmethod
     def from_mask(cls, shape: ModelShape, mask) -> "CentralProjection":
+        """The central projection that is 1 on the blocks where mask is true."""
+        mask = tuple(bool(m) for m in mask)
+        if len(mask) != shape.nblocks:
+            raise ValueError(f"mask has {len(mask)} entries for {shape.nblocks} blocks")
         blocks = [np.eye(b) if on else np.zeros((b, b)) for on, b in zip(mask, shape.blocks)]
-        return cls(shape, block_diag(shape, blocks))
+        out = cls._built(shape, block_diag(shape, blocks))
+        object.__setattr__(out, "block_mask", mask)
+        return out
 
 
 def _central_mask(p: Projection, tol: Tolerances) -> tuple[bool, ...] | None:

@@ -193,10 +193,10 @@ def orthogonal_pair_with_chain(rng: XorShift64Star, shape: ModelShape):
     nb = shape.blocks[blk]
     r = 1 + rng.randint(max(1, nb // 3))
     _, v = block_frame(rng.element(shape))
-    start = sum(shape.blocks[:blk])
-    e = frame_projection(shape, v, range(start, start + r))
-    m = frame_projection(shape, v, range(start + r, start + 2 * r))
-    f = frame_projection(shape, v, range(start + 2 * r, start + 3 * r))
+    cols = shape.columns(blk)
+    e = frame_projection(shape, v, cols[:r])
+    m = frame_projection(shape, v, cols[r:2 * r])
+    f = frame_projection(shape, v, cols[2 * r:3 * r])
     s1 = orthogonal_exchange_symmetry(e, m)
     s2 = orthogonal_exchange_symmetry(m, f)
     return e, f, s1, s2
@@ -232,18 +232,17 @@ def cross_orthogonal_witnesses(rng: XorShift64Star, shape: ModelShape) -> tuple[
 def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: int) -> list[ExchangeWitness]:
     """Matched orthogonal rank-one pairs, paired inside blocks."""
     ws: list[ExchangeWitness] = []
-    start = 0
-    for nb in shape.blocks:
+    for blk in range(shape.nblocks):
         if len(ws) >= parts:
             break
         _, v = block_frame(rng.element(shape))
-        for i in range(nb // 2):
+        cols = shape.columns(blk)
+        for i in range(len(cols) // 2):
             if len(ws) >= parts:
                 break
-            e = frame_projection(shape, v, [start + 2 * i])
-            f = frame_projection(shape, v, [start + 2 * i + 1])
+            e = frame_projection(shape, v, [cols[2 * i]])
+            f = frame_projection(shape, v, [cols[2 * i + 1]])
             ws.append(ExchangeWitness(orthogonal_exchange_symmetry(e, f), e, f))
-        start += nb
     return ws
 
 

@@ -59,6 +59,12 @@ def test_verify_tolerance_override(capsys):
     assert code == 0
 
 
+def test_verify_drift_under_tight_proj_tolerance(capsys):
+    code, out = run_cli(["verify", "--seed", "3", "--trials", "6", "--tol", "proj=1e-15"], capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "ERROR DriftError not a projection: |p^2 - p| = 1.302e-15"
+
+
 def test_witness_thm58(matdir, capsys):
     code, out = run_cli(["witness", "thm5.8", matdir / "e.mat", matdir / "f.mat"], capsys)
     assert code == 0

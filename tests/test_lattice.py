@@ -154,6 +154,16 @@ def test_center_detection():
         CentralProjection(ModelShape((2,)), np.diag([1.0, 0.0]))
 
 
+def test_from_mask_rejects_wrong_length():
+    sh = ModelShape((2, 3))
+    c = CentralProjection.from_mask(sh, np.array([1, 0]))
+    assert c.block_mask == (True, False)
+    assert all(type(m) is bool for m in c.block_mask)
+    for mask in ([True], [True, True, True], []):
+        with pytest.raises(ValueError, match="mask has"):
+            CentralProjection.from_mask(sh, mask)
+
+
 def test_central_cover():
     sh = ModelShape((2, 2))
     assert central_cover(unit(sh)).block_mask == (True, True)
