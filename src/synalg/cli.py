@@ -36,6 +36,7 @@ from .core import (
 )
 from .equivalence import (
     equal_rank_chain,
+    equivalent_check,
     generalized_comparability,
     orthogonal_decomposition,
     relative_center_witness,
@@ -70,8 +71,11 @@ from .symmetry import (
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-WITNESS_IDS = ("thm5.8", "thm5.9i", "thm5.9ii", "thm5.9iii", "thm5.11",
-               "thm5.12", "lem5.6", "thm5.15", "thm8.3", "thm8.5", "thm8.6")
+# Number of input files per construction; thm5.15 takes any positive
+# number of (e, f, s) triples.
+WITNESS_FILES = {"thm5.8": 2, "thm5.9i": 2, "thm5.9ii": 2, "thm5.9iii": 2, "thm5.11": 2,
+                 "thm5.12": 3, "lem5.6": 6, "thm5.15": 3, "thm8.3": 2, "thm8.5": 2, "thm8.6": 2}
+WITNESS_IDS = tuple(WITNESS_FILES)
 
 
 def _parse_shape(text: str) -> ModelShape:
@@ -96,7 +100,8 @@ def _parse_tol(pairs: list[str]) -> Tolerances | None:
     return tol
 
 
-def _env_default(name: str, fallback):
+def _env_default(name: str, fallback: str) -> str:
+    """A flag's default from SYNALG_<name>, as text for the flag's `type=` to convert."""
     return os.environ.get(f"SYNALG_{name}", fallback)
 
 
@@ -106,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run seeded property suites")
-    v.add_argument("--seed", type=int, default=int(_env_default("SEED", 42)))
-    v.add_argument("--trials", type=int, default=int(_env_default("TRIALS", 30)))
+    v.add_argument("--seed", type=int, default=_env_default("SEED", "42"))
+    v.add_argument("--trials", type=int, default=_env_default("TRIALS", "30"))
     v.add_argument("--shape", type=_parse_shape, default=_env_default("SHAPE", "2,3"))
     v.add_argument("--suites", default=_env_default("SUITES", "all"),
                    help="comma list from: " + ",".join(SUITE_NAMES) + " (or 'all')")
@@ -161,10 +166,9 @@ def _print_matrix(label: str, el) -> None:
 
 
 def cmd_verify(args) -> int:
-    shape = args.shape if isinstance(args.shape, ModelShape) else _parse_shape(args.shape)
     suites = tuple(SUITE_NAMES) if args.suites == "all" else tuple(args.suites.split(","))
     try:
-        cfg = SuiteConfig(seed=args.seed, trials=args.trials, shape=shape,
+        cfg = SuiteConfig(seed=args.seed, trials=args.trials, shape=args.shape,
                           tolerances=_parse_tol(args.tol), suites=suites)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -187,8 +191,16 @@ def cmd_witness(args) -> int:
         print(f"usage error: unknown construction id {tid!r}; expected one of "
               + ", ".join(WITNESS_IDS), file=sys.stderr)
         return USAGE_EXIT
-    acc = Accumulator(prefix=f"witness.{tid}.")
     f = args.files
+    need = WITNESS_FILES[tid]
+    if tid == "thm5.15":
+        ok, what = len(f) > 0 and len(f) % need == 0, f"a positive multiple of {need}"
+    else:
+        ok, what = len(f) == need, str(need)
+    if not ok:
+        print(f"usage error: {tid} takes {what} input files, got {len(f)}", file=sys.stderr)
+        return USAGE_EXIT
+    acc = Accumulator(prefix=f"witness.{tid}.")
     try:
         if tid == "thm5.8":
             e, fp = _load(f[0], "projection"), _load(f[1], "projection")
@@ -243,8 +255,6 @@ def cmd_witness(args) -> int:
             acc.observe("exchanges_sums",
                         dist(quad(s, as_projection(e1 + e2)), as_projection(f1 + f2)), 1e-8)
         elif tid == "thm5.15":
-            if len(f) % 3 != 0 or not f:
-                raise ParseError("thm5.15 needs triples: e1 f1 s1 [e2 f2 s2 ...]")
             ws = []
             for i in range(0, len(f), 3):
                 ws.append(ExchangeWitness(_load(f[i + 2], "symmetry"),
@@ -275,9 +285,6 @@ def cmd_witness(args) -> int:
             c = relative_center_witness(p, d)
             _print_matrix("c", c)
             acc.observe("central_cut_equals_d", dist(meet(c, p), d), 1e-8)
-    except IndexError:
-        print(f"usage error: {tid} needs more input files", file=sys.stderr)
-        return USAGE_EXIT
     except PreconditionError as exc:
         print(f"ERROR precondition {exc}")
         return FAIL_EXIT
@@ -338,7 +345,6 @@ def cmd_equiv(args) -> int:
     print(f"VERDICT equivalent chain_length {len(w.chain)}")
     for i, s in enumerate(w.chain.syms):
         _print_matrix(f"s{i + 1}", s)
-    from .equivalence import equivalent_check
     acc = Accumulator(prefix="equiv.")
     acc.check("chain_validates", equivalent_check(w))
     return _print_lines(acc.lines())

@@ -15,16 +15,19 @@ Validation.  The public constructors (`EnvelopingElement(...)`,
 `Element(...)`, `Projection(...)`, `Symmetry(...)`), which take matrices
 from files, the CLI and callers, check everything: the n x n size, finite
 entries, exact zeros outside the blocks and, for `Element`, symmetry to
-tolerance before symmetrizing.  Results that this module builds itself
-wrap a fresh array through the internal `_built` constructor, which checks
-only finiteness and the drift of the class invariant (idempotence for
-`Projection`, involution for `Symmetry`).  Those results need nothing
-more: `spectral_map` assembles blocks of the form (b + b^T) / 2 through
-`block_diag`, and sums, differences and scalar multiples of exactly
-symmetric matrices are exactly symmetric, so no symmetrization can move a
-bit; finite block-diagonal operands give sums and products whose entries
-off the blocks are exact zeros.  Results that are symmetric only up to
-rounding, such as the compression a b a, go through the full constructor.
+tolerance before symmetrizing.  What this module builds itself (`zero`,
+`unit`, `scalar`, `unit_projection`, `zero_projection`, `sym_from_proj`,
+`proj_from_sym`, `jordan`, `.T`, the element operators, `spectral_map`
+and all built on it, and the projections of a spectral resolution) wraps
+its array through the internal `_built` constructor, which checks only
+finiteness and the drift of the class invariant (idempotence for
+`Projection`, involution for `Symmetry`).  Nothing more is needed: blocks
+(b + b^T) / 2, sums, differences and scalar multiples of exactly
+symmetric matrices, (ab + (ab)^T) / 2 and outer products v v^T are all
+exactly symmetric, and finite block-diagonal operands leave exact zeros
+off the blocks.  The compression a b a is symmetric only up to rounding,
+and `frame_projection` sums outer products of frame columns that the
+caller supplies, so both go through the full constructor.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ class Tolerances:
     cluster: float = 1e-9
     eig: float = 1e-8
     zero: float = 1e-13
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -187,11 +195,12 @@ class EnvelopingElement:
 
     @classmethod
     def _built(cls, shape: ModelShape, arr: np.ndarray, tol: Tolerances | None = None):
-        """Wrap a fresh n x n array that this module built, without copying it.
+        """Wrap an n x n array that this module built, without copying it.
 
-        The caller guarantees zeros outside the blocks and, for `Element`
-        and its subclasses, exact symmetry.  Only finiteness and the class
-        invariant's drift are checked.
+        The array is fresh or a view of read-only data (the transpose of an
+        element's own array).  The caller guarantees zeros outside the
+        blocks and, for `Element` and its subclasses, exact symmetry.  Only
+        finiteness and the class invariant's drift are checked.
         """
         _check_finite(arr)
         out = object.__new__(cls)
@@ -247,7 +256,7 @@ class EnvelopingElement:
 
     @property
     def T(self) -> "EnvelopingElement":
-        return EnvelopingElement(self.shape, self.data.T)
+        return EnvelopingElement._built(self.shape, self.data.T)
 
     def norm(self) -> float:
         return opnorm(self.data)
@@ -342,23 +351,33 @@ class Symmetry(Element):
 # -- constructors ------------------------------------------------------
 
 def zero(shape: ModelShape) -> Element:
-    return Element(shape, np.zeros((shape.dim, shape.dim)))
+    return Element._built(shape, np.zeros((shape.dim, shape.dim)))
 
 
 def unit(shape: ModelShape) -> Symmetry:
-    return Symmetry(shape, np.eye(shape.dim))
+    return Symmetry._built(shape, np.eye(shape.dim))
 
 
 def scalar(shape: ModelShape, lam: float) -> Element:
-    return Element(shape, float(lam) * np.eye(shape.dim))
+    return Element._built(shape, float(lam) * np.eye(shape.dim))
 
 
 def unit_projection(shape: ModelShape) -> Projection:
-    return Projection(shape, np.eye(shape.dim))
+    return Projection._built(shape, np.eye(shape.dim))
 
 
 def zero_projection(shape: ModelShape) -> Projection:
-    return Projection(shape, np.zeros((shape.dim, shape.dim)))
+    return Projection._built(shape, np.zeros((shape.dim, shape.dim)))
+
+
+def sym_from_proj(p: Projection, tol: Tolerances | None = None) -> Symmetry:
+    """The symmetry 2p - 1 attached to a projection."""
+    return Symmetry._built(p.shape, 2.0 * p.data - np.eye(p.shape.dim), tol)
+
+
+def proj_from_sym(s: Symmetry, tol: Tolerances | None = None) -> Projection:
+    """The projection (1 + s) / 2 attached to a symmetry."""
+    return Projection._built(s.shape, 0.5 * (np.eye(s.shape.dim) + s.data), tol)
 
 
 def block_diag(shape: ModelShape, blocks) -> np.ndarray:
@@ -403,7 +422,7 @@ def jordan(a: Element, b: Element) -> Element:
     if a.shape != b.shape:
         raise ShapeMismatchError("jordan: operands have different shapes")
     ab = a.data @ b.data
-    return Element(a.shape, 0.5 * (ab + ab.T))
+    return Element._built(a.shape, 0.5 * (ab + ab.T))
 
 
 def quad(a: Element, b: Element) -> Element:
@@ -432,12 +451,6 @@ def commutes(a: EnvelopingElement, b: EnvelopingElement, tol: Tolerances | None 
         raise ShapeMismatchError("commutes: operands have different shapes")
     res = opnorm(a.data @ b.data - b.data @ a.data)
     return bool(res <= tol.comm * (opnorm(a.data) * opnorm(b.data) + 1.0))
-
-
-def env_mul(x: EnvelopingElement, y: EnvelopingElement) -> EnvelopingElement:
-    if x.shape != y.shape:
-        raise ShapeMismatchError("env_mul: operands have different shapes")
-    return EnvelopingElement(x.shape, x.data @ y.data)
 
 
 def symmetrize_sum(x: EnvelopingElement, y: EnvelopingElement, tol: Tolerances | None = None) -> Element:
@@ -530,28 +543,19 @@ def inverse(a: Element, tol: Tolerances | None = None) -> Element:
     return spectral_map(a, lambda x: 1.0 / x, tol=tol)
 
 
-def as_projection(a: Element, snap: bool = True, tol: Tolerances | None = None) -> Projection:
-    """Reinterpret a as a projection, optionally snapping eigenvalues at 1/2.
+def as_projection(a: Element, *, tol: Tolerances | None = None) -> Projection:
+    """The projection that snaps the eigenvalues of a at 1/2.
 
-    Snapping is the default in chained constructions; it stops numerical
-    drift from accumulating across meets, joins and conjugations.
+    Chained constructions snap their projections this way, so that
+    numerical drift does not accumulate across meets, joins and
+    conjugations.
     """
-    tol = active_tol(tol)
-    if isinstance(a, Projection) and not snap:
-        return a
-    if snap:
-        return spectral_map(a, lambda x: 1.0 if x >= 0.5 else 0.0, cls=Projection, tol=tol)
-    return Projection(a.shape, a.data, tol=tol)
+    return spectral_map(a, lambda x: 1.0 if x >= 0.5 else 0.0, cls=Projection, tol=tol)
 
 
-def as_symmetry(a: Element, snap: bool = True, tol: Tolerances | None = None) -> Symmetry:
-    """Reinterpret a as a symmetry, optionally snapping eigenvalues to +-1."""
-    tol = active_tol(tol)
-    if isinstance(a, Symmetry) and not snap:
-        return a
-    if snap:
-        return spectral_map(a, lambda x: 1.0 if x >= 0.0 else -1.0, cls=Symmetry, tol=tol)
-    return Symmetry(a.shape, a.data, tol=tol)
+def as_symmetry(a: Element, *, tol: Tolerances | None = None) -> Symmetry:
+    """The symmetry that snaps the eigenvalues of a to +-1 at 0."""
+    return spectral_map(a, lambda x: 1.0 if x >= 0.0 else -1.0, cls=Symmetry, tol=tol)
 
 
 class SpectralResolution:
@@ -575,14 +579,14 @@ class SpectralResolution:
         for l, q in self.jumps:
             if l <= lam:
                 acc = acc + q.data
-        return as_projection(Element(shape, acc))
+        return as_projection(Element._built(shape, acc))
 
     def reconstruct(self) -> Element:
         shape = self.jumps[0][1].shape
         acc = np.zeros((shape.dim, shape.dim))
         for l, q in self.jumps:
             acc = acc + l * q.data
-        return Element(shape, acc)
+        return Element._built(shape, acc)
 
     def __len__(self) -> int:
         return len(self.jumps)
@@ -614,7 +618,7 @@ def spectral_resolution(a: Element, tol: Tolerances | None = None) -> SpectralRe
             vals.append(pairs[j][0])
             acc = acc + pairs[j][1]
             j += 1
-        q = as_projection(Element(a.shape, acc))
+        q = as_projection(Element._built(a.shape, acc))
         jumps.append((float(np.mean(vals)), q))
         i = j
     return SpectralResolution(jumps, jumps[0][0], jumps[-1][0])

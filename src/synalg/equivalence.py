@@ -26,6 +26,7 @@ from .core import (
     as_projection,
     block_diag,
     block_frame,
+    carrier,
     commutes,
     dist,
     eig_sym,
@@ -37,15 +38,20 @@ from .core import (
 )
 from .lattice import (
     CentralProjection,
+    center_elements,
     central_cover,
     interval,
+    is_central,
     join,
     meet,
     orthogonal,
     ortho,
 )
+from .report import Accumulator
+from .rng import XorShift64Star
 from .symmetry import (
     ExchangeWitness,
+    exchange_efe_fef,
     family_additivity,
     finite_additivity,
     householder_factors,
@@ -172,7 +178,6 @@ def equal_rank_chain(e: Projection, f: Projection, tol: Tolerances | None = None
             f"blockwise ranks differ ({e.block_ranks()} vs {f.block_ranks()}); the pair is not equivalent")
     if dist(e, f) <= tol.proj:
         return EquivalenceWitness(e, f, SymmetryChain(()))
-    from .symmetry import exchange_efe_fef
     s = exchange_efe_fef(e, f, tol)
     if dist(quad(s, e), f) <= tol.proj:
         return EquivalenceWitness(e, f, SymmetryChain((s,)))
@@ -367,10 +372,6 @@ def invariant_is_central_suite(seed: int, shape: ModelShape | None = None, trial
     zero meet with h forces orthogonality to h.  For non-central h a
     counterexample to the meet condition is found by search.
     """
-    from .report import Accumulator
-    from .rng import XorShift64Star
-    from .lattice import center_elements, is_central
-
     tol = active_tol(tol)
     shape = shape or ModelShape((2, 2))
     rng = XorShift64Star(seed)
@@ -411,9 +412,6 @@ def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
     verifies every conjugate stays below the cover while their join
     saturates it blockwise.
     """
-    from .report import Accumulator
-    from .rng import XorShift64Star
-
     tol = active_tol(tol)
     acc = Accumulator(prefix="cover_sup.")
     shape = p.shape
@@ -436,8 +434,6 @@ def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
             acc.observe("conjugate_below_cover", max(0.0, -below), tol.psd)
             current = current + c
     if subs:
-        from .core import carrier
-
         total = central_cover(current, tol)
         joined = join(carrier(current, tol), gp, tol)
         acc.check("join_saturates_cover", total.block_mask == gp.block_mask)

@@ -29,6 +29,7 @@ from .core import (
     unit_projection,
 )
 from .report import Accumulator
+from .rng import XorShift64Star
 
 
 def ortho(p: Projection, tol: Tolerances | None = None) -> Projection:
@@ -227,8 +228,6 @@ def gamma_props_suite(seed: int, shape: ModelShape | None = None, trials: int = 
     transfers, finite join additivity, and that covers land in (and
     exhaust) the center.  On tiny shapes the center is swept exhaustively.
     """
-    from .rng import XorShift64Star
-
     tol = active_tol(tol)
     shape = shape or ModelShape((2, 2))
     rng = XorShift64Star(seed)

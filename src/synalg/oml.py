@@ -22,7 +22,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PreconditionError, Projection, SynalgError, Tolerances, active_tol, dist, opnorm
+from .core import (
+    PreconditionError,
+    Projection,
+    SynalgError,
+    Tolerances,
+    active_tol,
+    dist,
+    opnorm,
+    unit_projection,
+    zero_projection,
+)
+from .lattice import join as mjoin, meet as mmeet, ortho as mortho  # the matrix operations
 from .matio import ParseError
 from .report import Accumulator
 
@@ -584,9 +595,6 @@ def oml_from_projections(ps: list[Projection], cap: int = 64,
     matrix distance; raises ClosureExplosionError past the cap.  Returns
     the abstract lattice and the matrix for each element.
     """
-    from .lattice import join as mjoin, meet as mmeet, ortho as mortho
-    from .core import unit_projection, zero_projection
-
     tol = active_tol(tol)
     if not ps:
         raise ValueError("need at least one projection")

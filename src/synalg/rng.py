@@ -16,11 +16,11 @@ from .core import (
     Projection,
     Symmetry,
     as_projection,
-    as_symmetry,
     block_diag,
     eig_sym,
     frame_projection,
     spectral_map,
+    sym_from_proj,
 )
 
 _MASK = (1 << 64) - 1
@@ -85,8 +85,7 @@ class XorShift64Star:
         return as_projection(Element(shape, sel @ sel.T))
 
     def symmetry(self, shape: ModelShape) -> Symmetry:
-        p = self.projection(shape)
-        return as_symmetry(Element(shape, 2.0 * p.data - np.eye(shape.dim)), snap=False)
+        return sym_from_proj(self.projection(shape))
 
     def subprojection(self, p: Projection) -> Projection:
         """Random subprojection spanned by a subset of p's eigenvectors."""

@@ -35,11 +35,13 @@ from .core import (
     opnorm,
     order_unit_norm,
     pos_part,
+    proj_from_sym,
     quad,
     scalar,
     signum,
     spectral_resolution,
     sqrt_pos,
+    sym_from_proj,
     symmetrize_sum,
     unit,
     unit_projection,
@@ -84,6 +86,7 @@ from .oml import (
     interval_sasaki_check,
     is_distributive,
     mo_oml,
+    oml_compatible,
     oml_from_projections,
     parallelogram_check,
     relcompl_lift_check,
@@ -95,6 +98,7 @@ from .report import Accumulator, ReportLine
 from .rng import XorShift64Star
 from .symmetry import (
     ExchangeWitness,
+    PerspectivityWitness,
     canonical_extension,
     common_complement_from_exchange,
     complement_exchange,
@@ -106,11 +110,9 @@ from .symmetry import (
     orthogonal_exchange_symmetry,
     parallelogram_exchange,
     perspective_to_chain,
-    proj_from_sym,
     related_witness,
     sasaki_exchange,
     strong_perspectivity,
-    sym_from_proj,
 )
 
 SUITE_NAMES = ("synalg", "lattice", "symmetry", "comparability", "oml")
@@ -645,8 +647,6 @@ def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolera
             "meet_target": opnorm(meet(target, v1, tol).data),
         }
         acc.observe("comparability.sixpiece_complement_transfers", max(res.values()), 1e-7)
-        from .symmetry import PerspectivityWitness
-
         full = join(v1, ortho(top, tol), tol)
         pwit = PerspectivityWitness(left, target, full, ambient=None)
         if pwit.verify(tol):
@@ -666,8 +666,6 @@ def run_oml_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         b = boolean_oml(n)
         acc.check(f"oml.boolean{1 << n}_verifies", verify_oml(b).passed)
         acc.check(f"oml.boolean{1 << n}_distributive", is_distributive(b))
-    from .oml import oml_compatible
-
     mo2 = mo_oml(2)
     acc.check("oml.mo2_verifies", verify_oml(mo2).passed)
     acc.check("oml.mo2_not_distributive", not is_distributive(mo2))

@@ -12,6 +12,7 @@ everywhere; the contracts specialize instead of erroring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,16 @@ from .core import (
     Tolerances,
     active_tol,
     as_projection,
-    as_symmetry,
     block_frame,
     dist,
-    env_mul,
+    jordan,
     opnorm,
+    proj_from_sym,
     quad,
     signum,
+    sym_from_proj,
     symmetrize_sum,
+    unit,
     unit_projection,
     zero,
 )
@@ -53,10 +56,6 @@ class ExchangeWitness:
 
     def verify(self, tol: Tolerances | None = None) -> bool:
         return self.residual() <= active_tol(tol).proj
-
-
-def jordan_square(a: Element) -> Element:
-    return Element(a.shape, a.data @ a.data)
 
 
 @dataclass(frozen=True)
@@ -91,27 +90,16 @@ class PerspectivityWitness:
 
 # -- elementary correspondences -----------------------------------------
 
-def sym_from_proj(p: Projection, tol: Tolerances | None = None) -> Symmetry:
-    """The symmetry 2p - 1 attached to a projection."""
-    return as_symmetry(Element(p.shape, 2.0 * p.data - np.eye(p.shape.dim)), snap=False, tol=tol)
-
-
-def proj_from_sym(s: Symmetry, tol: Tolerances | None = None) -> Projection:
-    """The projection (1 + s) / 2 attached to a symmetry."""
-    return as_projection(Element(s.shape, 0.5 * (np.eye(s.shape.dim) + s.data)), snap=False, tol=tol)
-
-
 def canonical_extension(t: Element, tol: Tolerances | None = None) -> Symmetry:
     """Extend a partial symmetry t to the full symmetry t + (1 - t^2).
 
     If t exchanges a pair of projections, so does the extension.
     """
     tol = active_tol(tol)
-    sq = jordan_square(t)
+    sq = jordan(t, t)
     if opnorm(sq.data @ sq.data - sq.data) > tol.proj:
         raise PreconditionError("canonical_extension: t^2 is not a projection")
-    s = Element(t.shape, t.data + np.eye(t.shape.dim) - sq.data)
-    return as_symmetry(s, snap=False, tol=tol)
+    return Symmetry(t.shape, t.data + np.eye(t.shape.dim) - sq.data, tol=tol)
 
 
 # -- exchange constructions ---------------------------------------------
@@ -124,8 +112,7 @@ def exchange_efe_fef(e: Projection, f: Projection, tol: Tolerances | None = None
     the Sasaki projection of e by f.
     """
     tol = active_tol(tol)
-    a = Element(e.shape, e.data + f.data - np.eye(e.shape.dim))
-    t = signum(a, tol)
+    t = signum(e + f - unit(e.shape), tol)
     return canonical_extension(t, tol)
 
 
@@ -234,11 +221,10 @@ def orthogonal_chain_to_symmetry(e: Projection, f: Projection, s1: Symmetry, s2:
     chained = quad(s2, quad(s1, e))
     if dist(chained, f) > tol.proj:
         raise PreconditionError("the two symmetries do not carry e onto f")
-    x = env_mul(env_mul(s2, s1), e)
-    y = env_mul(e, env_mul(s1, s2))
+    x = s2 @ s1 @ e
+    y = e @ (s1 @ s2)
     xy = symmetrize_sum(x, y, tol)
-    s = Element(e.shape, xy.data + np.eye(e.shape.dim) - e.data - f.data)
-    return as_symmetry(s, snap=False, tol=tol)
+    return Symmetry(e.shape, xy.data + np.eye(e.shape.dim) - e.data - f.data, tol=tol)
 
 
 def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances | None = None) -> Symmetry:
@@ -260,10 +246,9 @@ def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances 
             raise PreconditionError(f"finite_additivity: pair {label} is not orthogonal")
     p1 = join(w1.e, w1.f, tol)
     p2 = join(w2.e, w2.f, tol)
-    u = symmetrize_sum(env_mul(w1.s, p1), env_mul(p1, w1.s), tol) * 0.5
-    v = symmetrize_sum(env_mul(w2.s, p2), env_mul(p2, w2.s), tol) * 0.5
-    s = Element(p1.shape, u.data + v.data + np.eye(p1.shape.dim) - p1.data - p2.data)
-    return as_symmetry(s, snap=False, tol=tol)
+    u = symmetrize_sum(w1.s @ p1, p1 @ w1.s, tol) * 0.5
+    v = symmetrize_sum(w2.s @ p2, p2 @ w2.s, tol) * 0.5
+    return Symmetry(p1.shape, u.data + v.data + np.eye(p1.shape.dim) - p1.data - p2.data, tol=tol)
 
 
 def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None,
@@ -282,7 +267,7 @@ def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None
     if not ws:
         if shape is None:
             raise ValueError("family_additivity of an empty family needs an explicit shape")
-        return as_symmetry(Element(shape, -np.eye(shape.dim)), snap=False, tol=tol)
+        return Symmetry(shape, -np.eye(shape.dim), tol=tol)
     shape = ws[0].e.shape
     esum = zero(shape)
     fsum = zero(shape)
@@ -299,15 +284,15 @@ def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None
 
     parts: list[Projection] = []
     for w in ws:
-        x = env_mul(w.s, w.e)
-        y = env_mul(w.e, w.s)
+        x = w.s @ w.e
+        y = w.e @ w.s
         checks = {
             "xy=f": opnorm(x.data @ y.data - w.f.data),
             "yx=e": opnorm(y.data @ x.data - w.e.data),
             "x2=0": opnorm(x.data @ x.data),
             "y2=0": opnorm(y.data @ y.data),
         }
-        p_i = as_projection(0.5 * (symmetrize_sum(x, y, tol) + w.e + w.f), snap=False, tol=tol)
+        p_i = Projection(shape, (0.5 * (symmetrize_sum(x, y, tol) + w.e + w.f)).data, tol=tol)
         checks["2epe=e"] = dist(2.0 * quad(w.e, p_i), w.e)
         checks["2pep=p"] = dist(2.0 * quad(p_i, w.e), p_i)
         checks["2fpf=f"] = dist(2.0 * quad(w.f, p_i), w.f)
@@ -361,8 +346,6 @@ def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances | N
     diagonal sign matrix, itself an involution.  Returns factors
     h1, ..., hk, d with qmat = h1 @ ... @ hk @ d.
     """
-    import math
-
     tol = active_tol(tol)
     n = qmat.shape[0]
     work = qmat.copy()
@@ -382,7 +365,7 @@ def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances | N
         work = h @ work
         factors.append(h)
     d = np.diag(np.sign(np.round(np.diag(work))))
-    out = [as_symmetry(Element(shape, h), snap=False, tol=tol) for h in factors]
+    out = [Symmetry(shape, h, tol=tol) for h in factors]
     if opnorm(d - np.eye(n)) > tol.proj:
-        out.append(as_symmetry(Element(shape, d), snap=False, tol=tol))
+        out.append(Symmetry(shape, d, tol=tol))
     return out

@@ -211,3 +211,39 @@ def test_missing_file_is_io_error(matdir, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("io error"), args
         assert captured.out == "", args
+
+
+def test_witness_file_count_is_checked_before_loading(matdir, capsys):
+    e, f, d2 = (str(matdir / n) for n in ("e.mat", "f.mat", "d2.mat"))
+    missing = str(matdir / "missing.mat")
+    for args in (["witness", "thm5.8", e, f, d2],          # one file too many
+                 ["witness", "thm8.3", e],                  # one file too few
+                 ["witness", "thm5.12", e, f, missing, d2],  # surplus, one of them missing
+                 ["witness", "thm5.15", e, f],              # short of a triple
+                 ["witness", "thm5.15", e, f, d2, e],       # a triple and one file
+                 ["witness", "thm5.15"]):
+        assert main(args) == 2, args
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: {args[1]} takes "), args
+        assert captured.out == "", args
+
+
+def test_env_defaults_are_converted_by_argparse(monkeypatch, capsys):
+    monkeypatch.setenv("SYNALG_SEED", "x")
+    assert main(["verify", "--suites", "synalg", "--trials", "1"]) == 2
+    assert "argument --seed: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["oml", "gen", "boolean", "1"]) == 0
+    assert capsys.readouterr().out.startswith("elem 0")
+    monkeypatch.setenv("SYNALG_SEED", "5")
+    monkeypatch.setenv("SYNALG_TRIALS", "2")
+    assert main(["verify", "--suites", "synalg", "--shape", "2"]) == 0
+    assert capsys.readouterr().out.startswith("# verify seed=5 trials=2 shape=2 ")
+
+
+def test_bad_tolerance_values_are_usage_errors(capsys):
+    for tol in ("psd=inf", "proj=nan", "zero=0", "rank=-1e-10", "cluster=-inf"):
+        assert main(["verify", "--suites", "synalg", "--trials", "1", "--tol", tol]) == 2, tol
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: tolerance "), tol
+        assert "must be finite and positive" in captured.err, tol
+        assert captured.out == "", tol

@@ -27,7 +27,6 @@ from synalg import (
     commutes,
     dist,
     eig_sym,
-    env_mul,
     inverse,
     jordan,
     leq,
@@ -275,7 +274,7 @@ def test_commutes_and_envelope():
     a = XorShift64Star(12).element(SH2)
     assert commutes(a, unit(SH2))
     assert not commutes(E, F)
-    x = env_mul(E, F)
+    x = E @ F
     assert isinstance(x, EnvelopingElement)
     back = symmetrize_sum(x, x.T)
     assert dist(back, Element(SH2, x.data + x.data.T)) < 1e-12
@@ -289,6 +288,11 @@ def test_snap_helpers():
     assert np.allclose(p.data, np.diag([1.0, 0.0]), atol=0)
     s = as_symmetry(Element(SH2, [[1.0 - 1e-9, 0.0], [0.0, -1.0 + 1e-9]]))
     assert np.allclose(s.data, np.diag([1.0, -1.0]), atol=0)
+    # Both always snap; a positional or named `snap` argument is an error.
+    with pytest.raises(TypeError):
+        as_projection(drifted, False)
+    with pytest.raises(TypeError):
+        as_symmetry(drifted, snap=False)
 
 
 def test_sa_axioms_randomized():

@@ -26,14 +26,20 @@ from synalg import (
     as_symmetry,
     carrier,
     inverse,
+    jordan,
     neg_part,
     opnorm,
     pos_part,
     scalar,
     signum,
+    spectral_resolution,
     sqrt_pos,
+    unit,
+    unit_projection,
+    zero,
+    zero_projection,
 )
-from synalg.core import spectral_map
+from synalg.core import proj_from_sym, spectral_map, sym_from_proj
 from synalg.lattice import CentralProjection, _central_mask, center_elements, ortho
 from synalg.rng import XorShift64Star
 from synalg.suites import SuiteConfig, run_suites
@@ -79,6 +85,19 @@ def trusted_results(shape: ModelShape, seed: int):
     yield "enveloping_neg", -(p @ q)
     yield "enveloping_mul", 3.0 * (p @ s)
     yield "ortho", ortho(p)
+    yield "zero", zero(shape)
+    yield "unit", unit(shape)
+    yield "scalar", scalar(shape, -1.5)
+    yield "unit_projection", unit_projection(shape)
+    yield "zero_projection", zero_projection(shape)
+    yield "jordan", jordan(a, b)
+    yield "transpose", (a @ b).T
+    yield "sym_from_proj", sym_from_proj(p)
+    yield "proj_from_sym", proj_from_sym(s)
+    sr = spectral_resolution(a)
+    yield "resolution_jump", sr.jumps[-1][1]
+    yield "resolution_at", sr.at(0.0)
+    yield "reconstruct", sr.reconstruct()
     for c in center_elements(shape):
         yield "from_mask", c
 
@@ -104,11 +123,14 @@ def test_trusted_results_match_full_validation(shape):
 def test_trusted_results_keep_their_types():
     sh = ModelShape((2, 3))
     results = dict(trusted_results(sh, 5))
-    for name in ("carrier", "as_projection", "ortho", "spectral_map_projection"):
+    for name in ("carrier", "as_projection", "ortho", "spectral_map_projection", "unit_projection",
+                 "zero_projection", "proj_from_sym", "resolution_jump", "resolution_at"):
         assert type(results[name]) is Projection, name
-    assert type(results["as_symmetry"]) is Symmetry
-    assert type(results["neg"]) is Element
-    for name in ("matmul", "enveloping_add", "enveloping_mul"):
+    for name in ("as_symmetry", "unit", "sym_from_proj"):
+        assert type(results[name]) is Symmetry, name
+    for name in ("neg", "zero", "scalar", "jordan", "reconstruct"):
+        assert type(results[name]) is Element, name
+    for name in ("matmul", "enveloping_add", "enveloping_mul", "transpose"):
         assert type(results[name]) is EnvelopingElement, name
 
 
@@ -159,7 +181,11 @@ def test_no_revalidation_on_trusted_paths(monkeypatch):
     as_projection(a)
     ortho(p)
     CentralProjection.from_mask(sh, [True, False])
-    a + b, a - b, a @ b
+    a + b, a - b, a @ b, (a @ b).T
+    zero(sh), unit(sh), scalar(sh, 2.0), unit_projection(sh), zero_projection(sh), jordan(a, b)
+    proj_from_sym(sym_from_proj(p))
+    sr = spectral_resolution(a)
+    sr.at(0.0), sr.reconstruct()
     assert counts == {"block_zeros": 0, "norm2": 0}
     # The suite still draws its random inputs through the validating
     # constructors; only the spectral norm must stay off np.linalg.norm.
