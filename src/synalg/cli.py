@@ -16,6 +16,7 @@ SYNALG_ (SYNALG_SEED, SYNALG_TRIALS, SYNALG_SHAPE, SYNALG_SUITES).
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import replace
@@ -71,11 +72,17 @@ from .symmetry import (
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-# Number of input files per construction; thm5.15 takes any positive
-# number of (e, f, s) triples.
-WITNESS_FILES = {"thm5.8": 2, "thm5.9i": 2, "thm5.9ii": 2, "thm5.9iii": 2, "thm5.11": 2,
-                 "thm5.12": 3, "lem5.6": 6, "thm5.15": 3, "thm8.3": 2, "thm8.5": 2, "thm8.6": 2}
+# Input files of each construction, one letter each: p a projection, s a
+# symmetry; thm5.15 takes any positive number of (e, f, s) triples.
+WITNESS_FILES = {"thm5.8": "pp", "thm5.9i": "pp", "thm5.9ii": "pp", "thm5.9iii": "pp",
+                 "thm5.11": "ps", "thm5.12": "ppp", "lem5.6": "ppspps", "thm5.15": "pps",
+                 "thm8.3": "pp", "thm8.5": "pp", "thm8.6": "pp"}
 WITNESS_IDS = tuple(WITNESS_FILES)
+KINDS = {"p": "projection", "s": "symmetry"}
+
+
+class UsageError(Exception):
+    """Bad command-line input that argument parsing cannot see."""
 
 
 def _parse_shape(text: str) -> ModelShape:
@@ -171,8 +178,7 @@ def cmd_verify(args) -> int:
         cfg = SuiteConfig(seed=args.seed, trials=args.trials, shape=args.shape,
                           tolerances=_parse_tol(args.tol), suites=suites)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(exc) from exc
     print(f"# verify seed={cfg.seed} trials={cfg.trials} shape={cfg.shape} "
           f"suites={','.join(s for s in SUITE_NAMES if s in cfg.suites)}")
     return _print_lines(run_suites(cfg))
@@ -185,52 +191,58 @@ def _load(path, kind):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _load_all(paths, kinds) -> list:
+    """Load each path as the kind of the same position; all shapes must agree."""
+    values = [_load(path, kind) for path, kind in zip(paths, kinds)]
+    if len({v.shape for v in values}) > 1:
+        raise UsageError("input files have different shapes")
+    return values
+
+
 def cmd_witness(args) -> int:
     tid = args.theorem
     if tid not in WITNESS_IDS:
-        print(f"usage error: unknown construction id {tid!r}; expected one of "
-              + ", ".join(WITNESS_IDS), file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(f"unknown construction id {tid!r}; expected one of "
+                         + ", ".join(WITNESS_IDS))
     f = args.files
-    need = WITNESS_FILES[tid]
+    need = len(WITNESS_FILES[tid])
     if tid == "thm5.15":
         ok, what = len(f) > 0 and len(f) % need == 0, f"a positive multiple of {need}"
     else:
         ok, what = len(f) == need, str(need)
     if not ok:
-        print(f"usage error: {tid} takes {what} input files, got {len(f)}", file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(f"{tid} takes {what} input files, got {len(f)}")
+    vals = _load_all(f, (KINDS[k] for k in itertools.cycle(WITNESS_FILES[tid])))
     acc = Accumulator(prefix=f"witness.{tid}.")
     try:
         if tid == "thm5.8":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             s = exchange_efe_fef(e, fp)
             _print_matrix("s", s)
             acc.observe("efe_to_fef", dist(quad(s, quad(e, fp)), quad(fp, e)), 1e-8)
             acc.observe("sasaki_conjugation", dist(quad(s, sasaki(e, fp)), sasaki(fp, e)), 1e-8)
         elif tid == "thm5.9i":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             w = sasaki_exchange(e, fp)
             _print_matrix("s", w.s)
             _print_matrix("sasaki_ef", w.e)
             _print_matrix("sasaki_fe", w.f)
             acc.observe("exchanged", w.residual(), 1e-8)
         elif tid == "thm5.9ii":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             w = parallelogram_exchange(e, fp)
             _print_matrix("s", w.s)
             _print_matrix("e_minus_meet", w.e)
             _print_matrix("join_minus_f", w.f)
             acc.observe("exchanged", w.residual(), 1e-8)
         elif tid == "thm5.9iii":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             s = complement_exchange(e, fp)
             _print_matrix("s", s)
             target = as_projection(Element(e.shape, np.eye(e.shape.dim) - fp.data))
             acc.observe("exchanges_e_with_ortho_f", dist(quad(s, e), target), 1e-8)
         elif tid == "thm5.11":
-            e = _load(f[0], "projection")
-            s = _load(f[1], "symmetry")
+            e, s = vals
             fp = as_projection(quad(s, e))
             _print_matrix("f", fp)
             pw = strong_perspectivity(ExchangeWitness(s, e, fp))
@@ -238,28 +250,21 @@ def cmd_witness(args) -> int:
             for name, value in pw.residuals().items():
                 acc.observe(name, value, 1e-8)
         elif tid == "thm5.12":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
-            wcompl = _load(f[2], "projection")
+            e, fp, wcompl = vals
             pw = PerspectivityWitness(e, fp, wcompl, ambient=None)
             s1, s2 = perspective_to_chain(pw)
             _print_matrix("s1", s1)
             _print_matrix("s2", s2)
             acc.observe("chain_carries_e_to_f", dist(quad(s2, quad(s1, e)), fp), 1e-8)
         elif tid == "lem5.6":
-            e1, f1, s1 = (_load(f[0], "projection"), _load(f[1], "projection"),
-                          _load(f[2], "symmetry"))
-            e2, f2, s2 = (_load(f[3], "projection"), _load(f[4], "projection"),
-                          _load(f[5], "symmetry"))
+            e1, f1, s1, e2, f2, s2 = vals
             s = finite_additivity(ExchangeWitness(s1, e1, f1), ExchangeWitness(s2, e2, f2))
             _print_matrix("s", s)
             acc.observe("exchanges_sums",
                         dist(quad(s, as_projection(e1 + e2)), as_projection(f1 + f2)), 1e-8)
         elif tid == "thm5.15":
-            ws = []
-            for i in range(0, len(f), 3):
-                ws.append(ExchangeWitness(_load(f[i + 2], "symmetry"),
-                                          _load(f[i], "projection"),
-                                          _load(f[i + 1], "projection")))
+            ws = [ExchangeWitness(vals[i + 2], vals[i], vals[i + 1])
+                  for i in range(0, len(vals), 3)]
             s = family_additivity(ws)
             _print_matrix("s", s)
             start = zero(ws[0].e.shape)
@@ -267,21 +272,21 @@ def cmd_witness(args) -> int:
             fsum = as_projection(sum((w.f for w in ws), start))
             acc.observe("exchanges_sums", dist(quad(s, esum), fsum), 1e-8)
         elif tid == "thm8.3":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             d = orthogonal_decomposition(e, fp)
             for label, mat in (("e1", d.e1), ("e2", d.e2), ("f1", d.f1), ("f2", d.f2), ("s", d.s)):
                 _print_matrix(label, mat)
             for name, value in d.residuals().items():
                 acc.observe(name, value, 1e-8)
         elif tid == "thm8.5":
-            e, fp = _load(f[0], "projection"), _load(f[1], "projection")
+            e, fp = vals
             res = generalized_comparability(e, fp)
             _print_matrix("h", res.h)
             _print_matrix("s", res.s)
             for name, value in res.residuals().items():
                 acc.observe(name, value, 1e-9)
         elif tid == "thm8.6":
-            p, d = _load(f[0], "projection"), _load(f[1], "projection")
+            p, d = vals
             c = relative_center_witness(p, d)
             _print_matrix("c", c)
             acc.observe("central_cut_equals_d", dist(meet(c, p), d), 1e-8)
@@ -304,7 +309,7 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    ps = [_load(path, "projection") for path in args.files]
+    ps = _load_all(args.files, itertools.repeat("projection"))
     for i, p in enumerate(ps):
         print(f"GAMMA p{i} mask " + "".join("1" if b else "0" for b in central_cover(p).block_mask))
     for i in range(len(ps)):
@@ -323,8 +328,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    e = _load(args.e, "projection")
-    f = _load(args.f, "projection")
+    e, f = _load_all((args.e, args.f), ("projection", "projection"))
     res = generalized_comparability(e, f)
     _print_matrix("h", res.h)
     _print_matrix("s", res.s)
@@ -335,8 +339,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    e = _load(args.e, "projection")
-    f = _load(args.f, "projection")
+    e, f = _load_all((args.e, args.f), ("projection", "projection"))
     try:
         w = equal_rank_chain(e, f)
     except PreconditionError as exc:
@@ -355,8 +358,7 @@ def cmd_oml(args) -> int:
         try:
             l = boolean_oml(args.n) if args.family == "boolean" else mo_oml(args.n)
         except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE_EXIT
+            raise UsageError(exc) from exc
         sys.stdout.write(format_oml(l))
         return 0
     l = load_oml(args.file)
@@ -369,8 +371,7 @@ def cmd_oml(args) -> int:
     try:
         p, q = l.index(args.p), l.index(args.q)
     except KeyError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(exc) from exc
     rep = oml_perspectivity(l, p, q)
     print(f"COMPATIBLE {rep.compatible}")
     print(f"SASAKI {l.names[p]} {l.names[q]} -> {l.names[rep.sasaki_pq]}")
@@ -398,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
             "oml": cmd_oml,
         }[args.command]
         return handler(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (OSError, ParseError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE_EXIT

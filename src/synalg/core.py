@@ -18,7 +18,7 @@ entries, exact zeros outside the blocks and, for `Element`, symmetry to
 tolerance before symmetrizing.  What this module builds itself (`zero`,
 `unit`, `scalar`, `unit_projection`, `zero_projection`, `sym_from_proj`,
 `proj_from_sym`, `jordan`, `.T`, the element operators, `spectral_map`
-and all built on it, and the projections of a spectral resolution) wraps
+and all built on it, `span`, and a spectral resolution's projections) wraps
 its array through the internal `_built` constructor, which checks only
 finiteness and the drift of the class invariant (idempotence for
 `Projection`, involution for `Symmetry`).  Nothing more is needed: blocks
@@ -26,8 +26,7 @@ finiteness and the drift of the class invariant (idempotence for
 symmetric matrices, (ab + (ab)^T) / 2 and outer products v v^T are all
 exactly symmetric, and finite block-diagonal operands leave exact zeros
 off the blocks.  The compression a b a is symmetric only up to rounding,
-and `frame_projection` sums outer products of frame columns that the
-caller supplies, so both go through the full constructor.
+so it goes through the full constructor.
 """
 
 from __future__ import annotations
@@ -399,13 +398,34 @@ def block_frame(a: Element) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([w for w, _ in beig]), block_diag(a.shape, [v for _, v in beig])
 
 
-def frame_projection(shape: ModelShape, frame: np.ndarray, idx,
-                     tol: Tolerances | None = None) -> Projection:
-    """Snapped projection onto the span of the chosen frame columns."""
-    acc = np.zeros((shape.dim, shape.dim))
-    for i in idx:
-        acc += np.outer(frame[:, i], frame[:, i])
-    return as_projection(Element(shape, acc), tol=tol)
+def range_basis(p: Projection, inside: bool = True) -> np.ndarray:
+    """Orthonormal columns spanning range(p), or range(1 - p) when not
+    inside, grouped by block."""
+    w, frame = block_frame(p)
+    return frame[:, (w > 0.5) == inside]
+
+
+def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances | None = None,
+         onto: np.ndarray | None = None) -> Projection:
+    """Projection onto the span of block-supported columns of unit scale,
+    keeping each direction of one SVD per block whose singular value exceeds
+    tol.rank (floored at tol.zero).  Given orthonormal columns `onto`, the
+    columns are projected onto range(onto) and the SVD runs in its
+    coordinates, so the span stays in that range however small its values.
+    """
+    tol = active_tol(tol)
+    cut = max(tol.rank, tol.zero)
+    out = np.zeros((shape.dim, shape.dim))
+    for s in shape.slices():
+        m = cols[s] if onto is None else onto[s].T @ cols[s]
+        if m.any():
+            u, sv, _ = np.linalg.svd(m, full_matrices=False)
+            u = u[:, sv > cut]
+            if onto is not None:
+                u = onto[s] @ u
+            blk = u @ u.T
+            out[s, s] = 0.5 * (blk + blk.T)
+    return Projection._built(shape, out, tol)
 
 
 def dist(x: EnvelopingElement, y: EnvelopingElement) -> float:

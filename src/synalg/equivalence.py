@@ -30,9 +30,9 @@ from .core import (
     commutes,
     dist,
     eig_sym,
-    frame_projection,
     opnorm,
     quad,
+    span,
     unit,
     zero,
 )
@@ -250,7 +250,7 @@ def _block_top_projection(p: Projection, blk: int, tol: Tolerances) -> Projectio
     w, frame = block_frame(p)
     cols = p.shape.columns(blk)
     i = cols[int(np.argmax(w[cols.start:cols.stop]))]
-    return frame_projection(p.shape, frame, [i], tol)
+    return span(p.shape, frame[:, [i]], tol)
 
 
 def _orthogonal_pair_split(e: Projection, f: Projection, tol: Tolerances) -> Decomposition:
@@ -420,7 +420,7 @@ def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
     w, v = eig_sym(p)
     for i in range(len(w)):
         if w[i] > 0.5:
-            subs.append(frame_projection(shape, v, [i], tol))
+            subs.append(span(shape, v[:, [i]], tol))
     if p.rank() > 0:
         subs.append(p)
     rng = XorShift64Star(seed)

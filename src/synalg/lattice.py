@@ -1,8 +1,9 @@
 """The orthomodular lattice of projections of the matrix model.
 
-Meets and joins are computed through the support projection: the join of
-p and q is the carrier of p + q (support of a sum of positive elements is
-the join of the supports), and the meet follows by De Morgan duality.
+Joins, meets and Sasaki projections are spans of orthonormal range bases
+(`core.span`), so their ranks are decided on the principal angles between
+the ranges (about theta / sqrt(2) for a join, cos theta for a Sasaki
+projection), not on their squares.
 The center consists of the blockwise 0/1 projections; the central cover
 of an element is read off from which blocks carry it.
 """
@@ -20,12 +21,13 @@ from .core import (
     active_tol,
     as_projection,
     block_diag,
-    carrier,
     commutes,
     dist,
     opnorm,
     order_unit_norm,
     quad,
+    range_basis,
+    span,
     unit_projection,
 )
 from .report import Accumulator
@@ -38,13 +40,14 @@ def ortho(p: Projection, tol: Tolerances | None = None) -> Projection:
 
 
 def join(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
-    """Least upper bound, computed as the support of p + q."""
-    return carrier(p + q, tol)
+    """Least upper bound: the projection onto the span of both ranges."""
+    return span(p._coerce(q).shape, np.hstack([range_basis(p), range_basis(q)]), tol)
 
 
 def meet(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
-    """Greatest lower bound, by De Morgan duality from the join."""
-    return ortho(join(ortho(p, tol), ortho(q, tol), tol), tol)
+    """Greatest lower bound: the complement of the span of both complements."""
+    cols = np.hstack([range_basis(p, inside=False), range_basis(q, inside=False)])
+    return ortho(span(p._coerce(q).shape, cols, tol), tol)
 
 
 def orthogonal(p: Projection, q: Projection, tol: Tolerances | None = None) -> bool:
@@ -59,11 +62,9 @@ def compatible(p: Projection, q: Projection, tol: Tolerances | None = None) -> b
 
 
 def sasaki(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
-    """Sasaki projection of q by p: the support of the compression p q p.
-
-    Lattice-theoretically this equals p meet (ortho(p) join q).
-    """
-    return carrier(quad(p, q), tol)
+    """Sasaki projection of q by p, onto p applied to range(q) (the range of
+    p q p); lattice-theoretically p meet (ortho(p) join q)."""
+    return span(p._coerce(q).shape, range_basis(q), tol, onto=range_basis(p))
 
 
 class CentralProjection(Projection):
@@ -207,8 +208,9 @@ class IntervalModel:
     def sasaki(self, q: Projection, r: Projection) -> Projection:
         """Sasaki projection computed entirely inside the interval.
 
-        Uses the lattice formula with the relative complement, which is a
-        route independent of the ambient carrier-based Sasaki projection.
+        Uses the lattice formula with the relative complement, a route
+        independent of the ambient Sasaki projection (the span of q applied
+        to range(r)).
         """
         self._require_member(q)
         self._require_member(r)

@@ -15,10 +15,9 @@ from .core import (
     ModelShape,
     Projection,
     Symmetry,
-    as_projection,
     block_diag,
     eig_sym,
-    frame_projection,
+    span,
     spectral_map,
     sym_from_proj,
 )
@@ -80,9 +79,7 @@ class XorShift64Star:
         if rank is None:
             return spectral_map(a, lambda x: 1.0 if x > 0.0 else 0.0, cls=Projection)
         w, v = eig_sym(a)
-        order = np.argsort(w)[::-1][:rank]
-        sel = v[:, order]
-        return as_projection(Element(shape, sel @ sel.T))
+        return span(shape, v[:, np.argsort(w)[::-1][:rank]])
 
     def symmetry(self, shape: ModelShape) -> Symmetry:
         return sym_from_proj(self.projection(shape))
@@ -91,4 +88,4 @@ class XorShift64Star:
         """Random subprojection spanned by a subset of p's eigenvectors."""
         w, v = eig_sym(p)
         keep = [i for i in range(len(w)) if w[i] > 0.5 and self.uniform() < 0.5]
-        return frame_projection(p.shape, v, keep)
+        return span(p.shape, v[:, keep])

@@ -27,7 +27,6 @@ from .core import (
     commutes,
     dist,
     eig_sym,
-    frame_projection,
     inverse,
     jordan,
     leq,
@@ -39,6 +38,7 @@ from .core import (
     quad,
     scalar,
     signum,
+    span,
     spectral_resolution,
     sqrt_pos,
     sym_from_proj,
@@ -148,7 +148,7 @@ def split_projection(rng: XorShift64Star, k: Projection) -> tuple[Projection, Pr
     inside = quad(k, rng.element(k.shape))
     w, v = eig_sym(inside)
     keep = [i for i in range(len(w)) if abs(w[i]) > 1e-8 and rng.uniform() < 0.5]
-    p = frame_projection(k.shape, v, keep)
+    p = span(k.shape, v[:, keep])
     p = meet(p, k)
     q = as_projection(k - p)
     return p, q
@@ -196,9 +196,9 @@ def orthogonal_pair_with_chain(rng: XorShift64Star, shape: ModelShape):
     r = 1 + rng.randint(max(1, nb // 3))
     _, v = block_frame(rng.element(shape))
     cols = shape.columns(blk)
-    e = frame_projection(shape, v, cols[:r])
-    m = frame_projection(shape, v, cols[r:2 * r])
-    f = frame_projection(shape, v, cols[2 * r:3 * r])
+    e = span(shape, v[:, cols[:r]])
+    m = span(shape, v[:, cols[r:2 * r]])
+    f = span(shape, v[:, cols[2 * r:3 * r]])
     s1 = orthogonal_exchange_symmetry(e, m)
     s2 = orthogonal_exchange_symmetry(m, f)
     return e, f, s1, s2
@@ -224,8 +224,8 @@ def cross_orthogonal_witnesses(rng: XorShift64Star, shape: ModelShape) -> tuple[
         return None
     v = random_frame(rng, shape)
     r = 1 + rng.randint(max(1, n // 2))
-    c1 = frame_projection(shape, v, range(r))
-    c2 = frame_projection(shape, v, range(r, n))
+    c1 = span(shape, v[:, :r])
+    c2 = span(shape, v[:, r:])
     w1 = chunk_exchange_witness(rng, shape, c1)
     w2 = chunk_exchange_witness(rng, shape, c2)
     return w1, w2
@@ -242,24 +242,10 @@ def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: i
         for i in range(len(cols) // 2):
             if len(ws) >= parts:
                 break
-            e = frame_projection(shape, v, [cols[2 * i]])
-            f = frame_projection(shape, v, [cols[2 * i + 1]])
+            e = span(shape, v[:, [cols[2 * i]]])
+            f = span(shape, v[:, [cols[2 * i + 1]]])
             ws.append(ExchangeWitness(orthogonal_exchange_symmetry(e, f), e, f))
     return ws
-
-
-def oracle_join(p: Projection, q: Projection) -> np.ndarray:
-    """Projection onto the summed ranges by orthonormalization.
-
-    Independent of the carrier route: stacks the two matrices, extracts
-    an orthonormal basis of the column span from a singular value
-    decomposition, and squares it back into a projection.
-    """
-    cols = np.hstack([p.data, q.data])
-    u, s, _ = np.linalg.svd(cols)
-    r = int(np.sum(s > 1e-9))
-    basis = u[:, :r]
-    return basis @ basis.T
 
 
 # -- suites ---------------------------------------------------------------
@@ -327,7 +313,7 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         w, v = eig_sym(a)
         car = carrier(a)
         for bits in range(1 << small.dim):
-            q = frame_projection(small, v, [i for i in range(small.dim) if bits >> i & 1])
+            q = span(small, v[:, [i for i in range(small.dim) if bits >> i & 1]])
             if opnorm(a.data @ q.data - a.data) <= 1e-10 * (1 + order_unit_norm(a)):
                 below = float(np.min((q - car).eigenvalues()))
                 acc.observe("synalg.carrier_minimality", max(0.0, -below), active_tol(tol).psd)
@@ -390,7 +376,7 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
             p = rng.projection(shape)
             q = rng.projection(shape)
             acc.observe("lattice.join_matches_orthonormalization_oracle",
-                        opnorm(join(p, q).data - oracle_join(p, q)), 1e-8)
+                        dist(join(p, q), carrier(p + q)), 1e-8)
     cents = center_elements(shape)
     for c1 in cents:
         for c2 in cents:

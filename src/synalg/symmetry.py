@@ -27,12 +27,12 @@ from .core import (
     Tolerances,
     active_tol,
     as_projection,
-    block_frame,
     dist,
     jordan,
     opnorm,
     proj_from_sym,
     quad,
+    range_basis,
     signum,
     sym_from_proj,
     symmetrize_sum,
@@ -325,18 +325,9 @@ def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances |
         raise PreconditionError("inputs must be orthogonal")
     if e.block_ranks() != f.block_ranks():
         raise PreconditionError("blockwise ranks differ; no exchanging symmetry exists")
-    n = e.shape.dim
-    x = np.zeros((n, n))
-    for ae, af in zip(_range_columns(e).T, _range_columns(f).T):
-        x += np.outer(af, ae)
+    x = range_basis(f) @ range_basis(e).T
     t = Element(e.shape, x + x.T)
     return canonical_extension(t, tol)
-
-
-def _range_columns(p: Projection) -> np.ndarray:
-    """Orthonormal columns spanning the range of p, grouped by block."""
-    w, frame = block_frame(p)
-    return frame[:, w > 0.5]
 
 
 def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances | None = None) -> list[Symmetry]:

@@ -10,6 +10,7 @@ import sys
 import time
 
 import numpy as np
+from conftest import oracle_join
 
 from synalg import (
     Element,
@@ -53,7 +54,6 @@ from synalg.oml import (
 from synalg.rng import XorShift64Star
 from synalg.suites import (
     cross_orthogonal_witnesses,
-    oracle_join,
     orthogonal_family_witnesses,
     orthogonal_pair_with_chain,
     split_projection,

@@ -62,7 +62,7 @@ def test_verify_tolerance_override(capsys):
 def test_verify_drift_under_tight_proj_tolerance(capsys):
     code, out = run_cli(["verify", "--seed", "3", "--trials", "6", "--tol", "proj=1e-15"], capsys)
     assert code == 1
-    assert out.splitlines()[-1] == "ERROR DriftError not a projection: |p^2 - p| = 1.302e-15"
+    assert out.splitlines()[-1] == "ERROR DriftError not a projection: |p^2 - p| = 1.139e-15"
 
 
 def test_witness_thm58(matdir, capsys):
@@ -247,3 +247,26 @@ def test_bad_tolerance_values_are_usage_errors(capsys):
         assert captured.err.startswith("usage error: tolerance "), tol
         assert "must be finite and positive" in captured.err, tol
         assert captured.out == "", tol
+
+
+MIXED_SHAPE_CALLS = {
+    "lattice": ["lattice", "e", "other"],
+    "witness": ["witness", "thm5.8", "e", "other"],
+    "compare": ["compare", "e", "other"],
+    "equiv": ["equiv", "other", "e"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED_SHAPE_CALLS))
+def test_inputs_of_different_shapes_are_usage_errors(command, matdir, capsys):
+    # shape 1,1 has the dimension of shape 2, so only the block layout differs
+    others = {"2,3": Projection(ModelShape((2, 3)), np.diag([1.0, 0.0, 1.0, 0.0, 0.0])),
+              "1,1": Projection(ModelShape((1, 1)), np.diag([1.0, 0.0]))}
+    for label, other in others.items():
+        write_matrix(matdir / "other.mat", other)
+        args = [a if a in (command, "thm5.8") else matdir / f"{a}.mat"
+                for a in MIXED_SHAPE_CALLS[command]]
+        assert main([str(a) for a in args]) == 2, label
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: input files have different shapes\n", label
+        assert captured.out == "", label

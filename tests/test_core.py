@@ -320,7 +320,7 @@ def test_immutability():
 
 
 def test_block_layout_helpers():
-    from synalg.core import block_diag, block_frame, frame_projection
+    from synalg.core import block_diag, block_frame, span
 
     sh = ModelShape((2, 3))
     d = block_diag(sh, [np.full((2, 2), 1.0), np.full((3, 3), 2.0)])
@@ -336,8 +336,8 @@ def test_block_layout_helpers():
     ws, vs = eig_sym(a)
     order = np.argsort(w, kind="stable")
     assert (ws == w[order]).all() and (vs == v[:, order]).all()
-    p = frame_projection(sh, v, [0, 3])
+    p = span(sh, v[:, [0, 3]])
     assert p.block_ranks() == (1, 1)
     want = np.outer(v[:, 0], v[:, 0]) + np.outer(v[:, 3], v[:, 3])
     assert np.abs(p.data - want).max() < 1e-12
-    assert frame_projection(sh, v, []).rank() == 0
+    assert span(sh, v[:, []]).rank() == 0

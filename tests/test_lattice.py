@@ -7,6 +7,7 @@ oracle.
 
 import numpy as np
 import pytest
+from conftest import oracle_join
 
 from synalg import (
     ModelShape,
@@ -41,13 +42,6 @@ from synalg.rng import XorShift64Star
 SH2 = ModelShape((2,))
 E = Projection(SH2, [[1.0, 0.0], [0.0, 0.0]])
 F = Projection(SH2, [[0.5, 0.5], [0.5, 0.5]])
-
-
-def oracle_join(p, q):
-    cols = np.hstack([p.data, q.data])
-    u, s, _ = np.linalg.svd(cols)
-    r = int(np.sum(s > 1e-9))
-    return u[:, :r] @ u[:, :r].T
 
 
 def oracle_meet(p, q):
