@@ -20,10 +20,12 @@ import itertools
 import os
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Element,
     ModelShape,
     PreconditionError,
@@ -72,15 +74,6 @@ from .symmetry import (
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 
-# Input files of each construction, one letter each: p a projection, s a
-# symmetry; thm5.15 takes any positive number of (e, f, s) triples.
-WITNESS_FILES = {"thm5.8": "pp", "thm5.9i": "pp", "thm5.9ii": "pp", "thm5.9iii": "pp",
-                 "thm5.11": "ps", "thm5.12": "ppp", "lem5.6": "ppspps", "thm5.15": "pps",
-                 "thm8.3": "pp", "thm8.5": "pp", "thm8.6": "pp"}
-WITNESS_IDS = tuple(WITNESS_FILES)
-KINDS = {"p": "projection", "s": "symmetry"}
-
-
 class UsageError(Exception):
     """Bad command-line input that argument parsing cannot see."""
 
@@ -92,10 +85,8 @@ def _parse_shape(text: str) -> ModelShape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}")
 
 
-def _parse_tol(pairs: list[str]) -> Tolerances | None:
-    if not pairs:
-        return None
-    tol = Tolerances()
+def _parse_tol(pairs: list[str]) -> Tolerances:
+    tol = DEFAULT_TOL
     fields = set(tol.__dataclass_fields__)
     for item in pairs:
         if "=" not in item:
@@ -199,101 +190,127 @@ def _load_all(paths, kinds) -> list:
     return values
 
 
+# -- witness constructions ----------------------------------------------------
+# Each builder takes the loaded input values and returns the matrices to print
+# and the named residuals.  It calls each construction by its module-level name
+# at call time, so a wrapped construction is the one called.
+
+def _thm5_8(e, f):
+    s = exchange_efe_fef(e, f)
+    return {"s": s}, {"efe_to_fef": dist(quad(s, quad(e, f)), quad(f, e)),
+                      "sasaki_conjugation": dist(quad(s, sasaki(e, f)), sasaki(f, e))}
+
+
+def _thm5_9i(e, f):
+    w = sasaki_exchange(e, f)
+    return {"s": w.s, "sasaki_ef": w.e, "sasaki_fe": w.f}, {"exchanged": w.residual()}
+
+
+def _thm5_9ii(e, f):
+    w = parallelogram_exchange(e, f)
+    return {"s": w.s, "e_minus_meet": w.e, "join_minus_f": w.f}, {"exchanged": w.residual()}
+
+
+def _thm5_9iii(e, f):
+    s = complement_exchange(e, f)
+    target = as_projection(Element(e.shape, np.eye(e.shape.dim) - f.data))
+    return {"s": s}, {"exchanges_e_with_ortho_f": dist(quad(s, e), target)}
+
+
+def _thm5_11(e, s):
+    f = as_projection(quad(s, e))
+    pw = strong_perspectivity(ExchangeWitness(s, e, f))
+    return {"f": f, "k": pw.common_complement}, pw.residuals()
+
+
+def _thm5_12(e, f, w):
+    s1, s2 = perspective_to_chain(PerspectivityWitness(e, f, w, ambient=None))
+    return {"s1": s1, "s2": s2}, {"chain_carries_e_to_f": dist(quad(s2, quad(s1, e)), f)}
+
+
+def _lem5_6(e1, f1, s1, e2, f2, s2):
+    s = finite_additivity(ExchangeWitness(s1, e1, f1), ExchangeWitness(s2, e2, f2))
+    return {"s": s}, {"exchanges_sums": dist(quad(s, as_projection(e1 + e2)), as_projection(f1 + f2))}
+
+
+def _thm5_15(*vals):
+    ws = [ExchangeWitness(vals[i + 2], vals[i], vals[i + 1]) for i in range(0, len(vals), 3)]
+    s = family_additivity(ws)
+    start = zero(ws[0].e.shape)
+    esum = as_projection(sum((w.e for w in ws), start))
+    fsum = as_projection(sum((w.f for w in ws), start))
+    return {"s": s}, {"exchanges_sums": dist(quad(s, esum), fsum)}
+
+
+def _thm8_3(e, f):
+    d = orthogonal_decomposition(e, f)
+    return {"e1": d.e1, "e2": d.e2, "f1": d.f1, "f2": d.f2, "s": d.s}, d.residuals()
+
+
+def _thm8_5(e, f):
+    res = generalized_comparability(e, f)
+    return {"h": res.h, "s": res.s}, res.residuals()
+
+
+def _thm8_6(p, d):
+    c = relative_center_witness(p, d)
+    return {"c": c}, {"central_cut_equals_d": dist(meet(c, p), d)}
+
+
+class _Witness(NamedTuple):
+    kinds: str  # one letter per input file: p a projection, s a symmetry
+    build: Callable  # input values -> (matrices to print, named residuals)
+    tol: float = 1e-8
+    repeats: bool = False  # takes any positive number of groups of `kinds`
+
+
+WITNESSES = {
+    "thm5.8": _Witness("pp", _thm5_8),
+    "thm5.9i": _Witness("pp", _thm5_9i),
+    "thm5.9ii": _Witness("pp", _thm5_9ii),
+    "thm5.9iii": _Witness("pp", _thm5_9iii),
+    "thm5.11": _Witness("ps", _thm5_11),
+    "thm5.12": _Witness("ppp", _thm5_12),
+    "lem5.6": _Witness("ppspps", _lem5_6),
+    "thm5.15": _Witness("pps", _thm5_15, repeats=True),
+    "thm8.3": _Witness("pp", _thm8_3),
+    "thm8.5": _Witness("pp", _thm8_5, 1e-9),
+    "thm8.6": _Witness("pp", _thm8_6),
+}
+WITNESS_IDS = tuple(WITNESSES)
+KINDS = {"p": "projection", "s": "symmetry"}
+
+
+def _run_witness(tid: str, paths, prefix: str) -> int:
+    """Load the inputs of construction tid, print its matrices and judge its residuals."""
+    w = WITNESSES[tid]
+    vals = _load_all(paths, (KINDS[k] for k in itertools.cycle(w.kinds)))
+    matrices, residuals = w.build(*vals)
+    for label, value in matrices.items():
+        _print_matrix(label, value)
+    acc = Accumulator(prefix=prefix)
+    for name, value in residuals.items():
+        acc.observe(name, value, w.tol)
+    return _print_lines(acc.lines())
+
+
 def cmd_witness(args) -> int:
     tid = args.theorem
-    if tid not in WITNESS_IDS:
+    if tid not in WITNESSES:
         raise UsageError(f"unknown construction id {tid!r}; expected one of "
                          + ", ".join(WITNESS_IDS))
-    f = args.files
-    need = len(WITNESS_FILES[tid])
-    if tid == "thm5.15":
+    f, need = args.files, len(WITNESSES[tid].kinds)
+    if WITNESSES[tid].repeats:
         ok, what = len(f) > 0 and len(f) % need == 0, f"a positive multiple of {need}"
     else:
         ok, what = len(f) == need, str(need)
     if not ok:
         raise UsageError(f"{tid} takes {what} input files, got {len(f)}")
-    vals = _load_all(f, (KINDS[k] for k in itertools.cycle(WITNESS_FILES[tid])))
-    acc = Accumulator(prefix=f"witness.{tid}.")
     try:
-        if tid == "thm5.8":
-            e, fp = vals
-            s = exchange_efe_fef(e, fp)
-            _print_matrix("s", s)
-            acc.observe("efe_to_fef", dist(quad(s, quad(e, fp)), quad(fp, e)), 1e-8)
-            acc.observe("sasaki_conjugation", dist(quad(s, sasaki(e, fp)), sasaki(fp, e)), 1e-8)
-        elif tid == "thm5.9i":
-            e, fp = vals
-            w = sasaki_exchange(e, fp)
-            _print_matrix("s", w.s)
-            _print_matrix("sasaki_ef", w.e)
-            _print_matrix("sasaki_fe", w.f)
-            acc.observe("exchanged", w.residual(), 1e-8)
-        elif tid == "thm5.9ii":
-            e, fp = vals
-            w = parallelogram_exchange(e, fp)
-            _print_matrix("s", w.s)
-            _print_matrix("e_minus_meet", w.e)
-            _print_matrix("join_minus_f", w.f)
-            acc.observe("exchanged", w.residual(), 1e-8)
-        elif tid == "thm5.9iii":
-            e, fp = vals
-            s = complement_exchange(e, fp)
-            _print_matrix("s", s)
-            target = as_projection(Element(e.shape, np.eye(e.shape.dim) - fp.data))
-            acc.observe("exchanges_e_with_ortho_f", dist(quad(s, e), target), 1e-8)
-        elif tid == "thm5.11":
-            e, s = vals
-            fp = as_projection(quad(s, e))
-            _print_matrix("f", fp)
-            pw = strong_perspectivity(ExchangeWitness(s, e, fp))
-            _print_matrix("k", pw.common_complement)
-            for name, value in pw.residuals().items():
-                acc.observe(name, value, 1e-8)
-        elif tid == "thm5.12":
-            e, fp, wcompl = vals
-            pw = PerspectivityWitness(e, fp, wcompl, ambient=None)
-            s1, s2 = perspective_to_chain(pw)
-            _print_matrix("s1", s1)
-            _print_matrix("s2", s2)
-            acc.observe("chain_carries_e_to_f", dist(quad(s2, quad(s1, e)), fp), 1e-8)
-        elif tid == "lem5.6":
-            e1, f1, s1, e2, f2, s2 = vals
-            s = finite_additivity(ExchangeWitness(s1, e1, f1), ExchangeWitness(s2, e2, f2))
-            _print_matrix("s", s)
-            acc.observe("exchanges_sums",
-                        dist(quad(s, as_projection(e1 + e2)), as_projection(f1 + f2)), 1e-8)
-        elif tid == "thm5.15":
-            ws = [ExchangeWitness(vals[i + 2], vals[i], vals[i + 1])
-                  for i in range(0, len(vals), 3)]
-            s = family_additivity(ws)
-            _print_matrix("s", s)
-            start = zero(ws[0].e.shape)
-            esum = as_projection(sum((w.e for w in ws), start))
-            fsum = as_projection(sum((w.f for w in ws), start))
-            acc.observe("exchanges_sums", dist(quad(s, esum), fsum), 1e-8)
-        elif tid == "thm8.3":
-            e, fp = vals
-            d = orthogonal_decomposition(e, fp)
-            for label, mat in (("e1", d.e1), ("e2", d.e2), ("f1", d.f1), ("f2", d.f2), ("s", d.s)):
-                _print_matrix(label, mat)
-            for name, value in d.residuals().items():
-                acc.observe(name, value, 1e-8)
-        elif tid == "thm8.5":
-            e, fp = vals
-            res = generalized_comparability(e, fp)
-            _print_matrix("h", res.h)
-            _print_matrix("s", res.s)
-            for name, value in res.residuals().items():
-                acc.observe(name, value, 1e-9)
-        elif tid == "thm8.6":
-            p, d = vals
-            c = relative_center_witness(p, d)
-            _print_matrix("c", c)
-            acc.observe("central_cut_equals_d", dist(meet(c, p), d), 1e-8)
+        return _run_witness(tid, f, f"witness.{tid}.")
     except PreconditionError as exc:
         print(f"ERROR precondition {exc}")
         return FAIL_EXIT
-    return _print_lines(acc.lines())
 
 
 def cmd_spectra(args) -> int:
@@ -328,14 +345,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    e, f = _load_all((args.e, args.f), ("projection", "projection"))
-    res = generalized_comparability(e, f)
-    _print_matrix("h", res.h)
-    _print_matrix("s", res.s)
-    acc = Accumulator(prefix="compare.")
-    for name, value in res.residuals().items():
-        acc.observe(name, value, 1e-9)
-    return _print_lines(acc.lines())
+    """Generalized comparability: the thm8.5 construction under its own prefix."""
+    return _run_witness("thm8.5", (args.e, args.f), "compare.")
 
 
 def cmd_equiv(args) -> int:

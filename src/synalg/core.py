@@ -68,7 +68,9 @@ class Tolerances:
     accumulated rounding noise of a vanished element for genuine rank;
     elements are assumed to live at order-one scale (desk scale, n <= 16).
     Defaults sit two orders of magnitude above double-precision
-    eigensolver error.
+    eigensolver error.  Every `tol` parameter in the package defaults to
+    `DEFAULT_TOL`, one shared instance; the dataclass is frozen, so sharing
+    it is safe, and a caller passes its own instance to change a threshold.
     """
 
     sym: float = 1e-10
@@ -88,10 +90,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-def active_tol(tol: Tolerances | None = None) -> Tolerances:
-    return DEFAULT_TOL if tol is None else tol
 
 
 @dataclass(frozen=True)
@@ -193,7 +191,7 @@ class EnvelopingElement:
         self._wrap(shape, arr)
 
     @classmethod
-    def _built(cls, shape: ModelShape, arr: np.ndarray, tol: Tolerances | None = None):
+    def _built(cls, shape: ModelShape, arr: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         """Wrap an n x n array that this module built, without copying it.
 
         The array is fresh or a view of read-only data (the transpose of an
@@ -204,7 +202,7 @@ class EnvelopingElement:
         _check_finite(arr)
         out = object.__new__(cls)
         out._wrap(shape, arr)
-        out._drift(active_tol(tol))
+        out._drift(tol)
         return out
 
     def _wrap(self, shape: ModelShape, arr: np.ndarray) -> None:
@@ -273,8 +271,7 @@ class Element(EnvelopingElement):
 
     __slots__ = ()
 
-    def __init__(self, shape: ModelShape, data: np.ndarray, *, tol: Tolerances | None = None):
-        tol = active_tol(tol)
+    def __init__(self, shape: ModelShape, data: np.ndarray, *, tol: Tolerances = DEFAULT_TOL):
         arr = np.asarray(data, dtype=float)
         gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
         if gap > tol.sym:
@@ -314,8 +311,7 @@ class Projection(Element):
 
     __slots__ = ()
 
-    def __init__(self, shape, data, *, tol: Tolerances | None = None):
-        tol = active_tol(tol)
+    def __init__(self, shape, data, *, tol: Tolerances = DEFAULT_TOL):
         super().__init__(shape, data, tol=tol)
         self._drift(tol)
 
@@ -336,8 +332,7 @@ class Symmetry(Element):
 
     __slots__ = ()
 
-    def __init__(self, shape, data, *, tol: Tolerances | None = None):
-        tol = active_tol(tol)
+    def __init__(self, shape, data, *, tol: Tolerances = DEFAULT_TOL):
         super().__init__(shape, data, tol=tol)
         self._drift(tol)
 
@@ -369,12 +364,12 @@ def zero_projection(shape: ModelShape) -> Projection:
     return Projection._built(shape, np.zeros((shape.dim, shape.dim)))
 
 
-def sym_from_proj(p: Projection, tol: Tolerances | None = None) -> Symmetry:
+def sym_from_proj(p: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """The symmetry 2p - 1 attached to a projection."""
     return Symmetry._built(p.shape, 2.0 * p.data - np.eye(p.shape.dim), tol)
 
 
-def proj_from_sym(s: Symmetry, tol: Tolerances | None = None) -> Projection:
+def proj_from_sym(s: Symmetry, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """The projection (1 + s) / 2 attached to a symmetry."""
     return Projection._built(s.shape, 0.5 * (np.eye(s.shape.dim) + s.data), tol)
 
@@ -405,7 +400,7 @@ def range_basis(p: Projection, inside: bool = True) -> np.ndarray:
     return frame[:, (w > 0.5) == inside]
 
 
-def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances | None = None,
+def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
          onto: np.ndarray | None = None) -> Projection:
     """Projection onto the span of block-supported columns of unit scale,
     keeping each direction of one SVD per block whose singular value exceeds
@@ -413,7 +408,6 @@ def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances | None = None,
     columns are projected onto range(onto) and the SVD runs in its
     coordinates, so the span stays in that range however small its values.
     """
-    tol = active_tol(tol)
     cut = max(tol.rank, tol.zero)
     out = np.zeros((shape.dim, shape.dim))
     for s in shape.slices():
@@ -452,9 +446,8 @@ def quad(a: Element, b: Element) -> Element:
     return Element(a.shape, a.data @ b.data @ a.data)
 
 
-def leq(a: Element, b: Element, tol: Tolerances | None = None) -> bool:
+def leq(a: Element, b: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Order relation: b - a is positive semidefinite up to tol.psd."""
-    tol = active_tol(tol)
     d = b - a
     return bool(float(np.min(d.eigenvalues())) >= -tol.psd)
 
@@ -465,22 +458,20 @@ def order_unit_norm(a: Element) -> float:
     return float(np.max(np.abs(w))) if w.size else 0.0
 
 
-def commutes(a: EnvelopingElement, b: EnvelopingElement, tol: Tolerances | None = None) -> bool:
-    tol = active_tol(tol)
+def commutes(a: EnvelopingElement, b: EnvelopingElement, tol: Tolerances = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise ShapeMismatchError("commutes: operands have different shapes")
     res = opnorm(a.data @ b.data - b.data @ a.data)
     return bool(res <= tol.comm * (opnorm(a.data) * opnorm(b.data) + 1.0))
 
 
-def symmetrize_sum(x: EnvelopingElement, y: EnvelopingElement, tol: Tolerances | None = None) -> Element:
+def symmetrize_sum(x: EnvelopingElement, y: EnvelopingElement, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Return x + y as a symmetric element, rejecting non-symmetric sums.
 
     Sums of mirrored enveloping intermediates (such as x = s2 s1 e and
     y = e s1 s2) land back in the symmetric algebra; anything else is a
     misuse of enveloping values and raises.
     """
-    tol = active_tol(tol)
     if x.shape != y.shape:
         raise ShapeMismatchError("symmetrize_sum: operands have different shapes")
     s = x.data + y.data
@@ -503,7 +494,7 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def spectral_map(a: Element, fn, cls=Element, tol: Tolerances | None = None):
+def spectral_map(a: Element, fn, cls=Element, tol: Tolerances = DEFAULT_TOL):
     """Apply a real function to the spectrum of a, blockwise."""
     blocks = []
     for w, v in a.block_eig():
@@ -513,57 +504,53 @@ def spectral_map(a: Element, fn, cls=Element, tol: Tolerances | None = None):
     return cls._built(a.shape, block_diag(a.shape, blocks), tol)
 
 
-def sqrt_pos(a: Element, tol: Tolerances | None = None) -> Element:
+def sqrt_pos(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Square root of a positive element."""
-    tol = active_tol(tol)
     if not leq(zero(a.shape), a, tol):
         raise PreconditionError("sqrt_pos: element is not positive")
     return spectral_map(a, lambda x: math.sqrt(max(x, 0.0)), tol=tol)
 
 
-def absolute(a: Element, tol: Tolerances | None = None) -> Element:
+def absolute(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """|a|, the positive element with |a|^2 = a^2."""
     return spectral_map(a, abs, tol=tol)
 
 
-def pos_part(a: Element, tol: Tolerances | None = None) -> Element:
+def pos_part(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     return spectral_map(a, lambda x: max(x, 0.0), tol=tol)
 
 
-def neg_part(a: Element, tol: Tolerances | None = None) -> Element:
+def neg_part(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     return spectral_map(a, lambda x: max(-x, 0.0), tol=tol)
 
 
-def carrier(a: Element, tol: Tolerances | None = None) -> Projection:
+def carrier(a: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Support projection of a: smallest projection q with a q = a.
 
     Spectrally, the sum of eigenprojections for eigenvalues larger than
     tol.rank relative to the spectral norm of a.
     """
-    tol = active_tol(tol)
     cut = max(tol.rank * order_unit_norm(a), tol.zero)
     return spectral_map(a, lambda x: 1.0 if abs(x) > cut else 0.0, cls=Projection, tol=tol)
 
 
-def signum(a: Element, tol: Tolerances | None = None) -> Element:
+def signum(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Spectral sign of a; a partial symmetry whose square is carrier(a).
 
     Together with |a| it gives the polar decomposition a = signum(a)|a|.
     """
-    tol = active_tol(tol)
     cut = max(tol.rank * order_unit_norm(a), tol.zero)
     return spectral_map(a, lambda x: math.copysign(1.0, x) if abs(x) > cut else 0.0, tol=tol)
 
 
-def inverse(a: Element, tol: Tolerances | None = None) -> Element:
-    tol = active_tol(tol)
+def inverse(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     w = a.eigenvalues()
     if w.size == 0 or float(np.min(np.abs(w))) <= tol.inv:
         raise NotInvertibleError("inverse: spectrum touches zero")
     return spectral_map(a, lambda x: 1.0 / x, tol=tol)
 
 
-def as_projection(a: Element, *, tol: Tolerances | None = None) -> Projection:
+def as_projection(a: Element, *, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """The projection that snaps the eigenvalues of a at 1/2.
 
     Chained constructions snap their projections this way, so that
@@ -573,7 +560,7 @@ def as_projection(a: Element, *, tol: Tolerances | None = None) -> Projection:
     return spectral_map(a, lambda x: 1.0 if x >= 0.5 else 0.0, cls=Projection, tol=tol)
 
 
-def as_symmetry(a: Element, *, tol: Tolerances | None = None) -> Symmetry:
+def as_symmetry(a: Element, *, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """The symmetry that snaps the eigenvalues of a to +-1 at 0."""
     return spectral_map(a, lambda x: 1.0 if x >= 0.0 else -1.0, cls=Symmetry, tol=tol)
 
@@ -616,13 +603,12 @@ class SpectralResolution:
         return f"SpectralResolution([{pts}], lower={self.lower:.6g}, upper={self.upper:.6g})"
 
 
-def spectral_resolution(a: Element, tol: Tolerances | None = None) -> SpectralResolution:
+def spectral_resolution(a: Element, tol: Tolerances = DEFAULT_TOL) -> SpectralResolution:
     """Eigenvalue jump list of a, with nearby eigenvalues clustered.
 
     Eigenvalues closer than tol.cluster relative to the norm of a are
     merged into a single jump carrying the summed eigenprojection.
     """
-    tol = active_tol(tol)
     n = a.shape.dim
     w, frame = block_frame(a)
     pairs = [(float(w[i]), np.outer(frame[:, i], frame[:, i])) for i in range(n)]

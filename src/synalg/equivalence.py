@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Element,
     ModelShape,
     PreconditionError,
     Projection,
     Symmetry,
     Tolerances,
-    active_tol,
     as_projection,
     block_diag,
     block_frame,
@@ -38,9 +38,9 @@ from .core import (
 )
 from .lattice import (
     CentralProjection,
+    IntervalModel,
     center_elements,
     central_cover,
-    interval,
     is_central,
     join,
     meet,
@@ -89,8 +89,7 @@ class ComparabilityResult:
     e: Projection
     f: Projection
 
-    def residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
-        tol = active_tol(tol)
+    def residuals(self, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
         one = np.eye(self.e.shape.dim)
         eh = Element(self.e.shape, self.e.data @ self.h.data)
         fh = Element(self.e.shape, self.f.data @ self.h.data)
@@ -103,9 +102,8 @@ class ComparabilityResult:
             "sfc_below_ec": max(0.0, -float(np.min(d2))),
         }
 
-    def verify(self, tol: Tolerances | None = None) -> bool:
-        t = active_tol(tol)
-        return all(r <= t.psd for r in self.residuals(tol).values())
+    def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        return all(r <= tol.psd for r in self.residuals(tol).values())
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class Decomposition:
     e: Projection
     f: Projection
 
-    def residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
+    def residuals(self, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
         g2 = central_cover(self.e2, tol)
         h2 = central_cover(self.f2, tol)
         return {
@@ -142,27 +140,25 @@ def apply_chain(c: SymmetryChain, a: Element) -> Element:
     return out
 
 
-def equivalent_check(w: EquivalenceWitness, tol: Tolerances | None = None) -> bool:
-    tol = active_tol(tol)
+def equivalent_check(w: EquivalenceWitness, tol: Tolerances = DEFAULT_TOL) -> bool:
     if w.p.shape != w.q.shape:
         raise PreconditionError("witness endpoints have different shapes")
     return dist(apply_chain(w.chain, w.p), w.q) <= tol.proj
 
 
-def related(e: Projection, f: Projection, tol: Tolerances | None = None) -> bool:
+def related(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether e and f have equivalent nonzero subprojections.
 
     Exact in the block model: the pair is related iff some block carries
     both nontrivially, i.e. iff e is not orthogonal to the central cover
     of f.
     """
-    tol = active_tol(tol)
     ge = central_cover(e, tol).block_mask
     gf = central_cover(f, tol).block_mask
     return any(a and b for a, b in zip(ge, gf))
 
 
-def equal_rank_chain(e: Projection, f: Projection, tol: Tolerances | None = None) -> EquivalenceWitness:
+def equal_rank_chain(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> EquivalenceWitness:
     """Decide equivalence in the model and produce a chain witness.
 
     Within each block, equal rank is necessary and sufficient; the chain
@@ -170,7 +166,6 @@ def equal_rank_chain(e: Projection, f: Projection, tol: Tolerances | None = None
     matrix carrying an adapted eigenbasis of e onto one of f.  Chain
     length stays below twice the total dimension.
     """
-    tol = active_tol(tol)
     if e.shape != f.shape:
         raise PreconditionError("operands have different shapes")
     if e.block_ranks() != f.block_ranks():
@@ -192,7 +187,7 @@ def _adapted_frame(p: Projection) -> np.ndarray:
     return block_diag(p.shape, [v[:, np.argsort(-w, kind="stable")] for w, v in p.block_eig()])
 
 
-def key_subprojection_exchange(w: EquivalenceWitness, tol: Tolerances | None = None) -> ExchangeWitness:
+def key_subprojection_exchange(w: EquivalenceWitness, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness:
     """Nonzero subprojections of equivalent p, q exchanged by one symmetry.
 
     Follows the chain-shortening recursion: conjugate the endpoint back
@@ -200,7 +195,6 @@ def key_subprojection_exchange(w: EquivalenceWitness, tol: Tolerances | None = N
     Sasaki exchange (non-orthogonal case) or a collapsed two-step chain
     (orthogonal case) produces the single symmetry.
     """
-    tol = active_tol(tol)
     if w.p.rank() == 0:
         raise PreconditionError("zero projection has no nonzero subprojections")
     if not equivalent_check(w, tol):
@@ -270,7 +264,27 @@ def _orthogonal_pair_split(e: Projection, f: Projection, tol: Tolerances) -> Dec
     return Decomposition(e1, e2, f1, f2, s, e, f)
 
 
-def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances | None = None) -> Decomposition:
+def _overlap_split(e: Projection, f: Projection, tol: Tolerances):
+    """The steps orthogonal_decomposition and generalized_comparability share.
+
+    Returns the exchange of the overlap parts e - (e meet ortho(f)) and
+    f - (ortho(e) meet f) by the Sasaki symmetry (the unit when the pair is
+    orthogonal), the orthogonal rests e meet ortho(f) and ortho(e) meet f,
+    and the decomposition of those rests.
+    """
+    if e.shape != f.shape:
+        raise PreconditionError("operands have different shapes")
+    e_rest = meet(e, ortho(f, tol), tol)
+    f_rest = meet(ortho(e, tol), f, tol)
+    e_over = as_projection(e - e_rest, tol=tol)
+    f_over = as_projection(f - f_rest, tol=tol)
+    rw = related_witness(e, f, tol)
+    inner = _orthogonal_pair_split(e_rest, f_rest, tol)
+    w = ExchangeWitness(rw.s if rw is not None else unit(e.shape), e_over, f_over)
+    return w, e_rest, f_rest, inner
+
+
+def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
     """Split e = e1 + e2, f = f1 + f2 with e1, f1 exchanged and covers of
     e2, f2 orthogonal.
 
@@ -278,26 +292,17 @@ def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances | Non
     exchange; the orthogonal rest is matched greedily and the two
     exchanged parts are merged by finite additivity.
     """
-    tol = active_tol(tol)
-    if e.shape != f.shape:
-        raise PreconditionError("operands have different shapes")
-    e12 = meet(e, ortho(f, tol), tol)
-    f12 = meet(ortho(e, tol), f, tol)
-    e11 = as_projection(e - e12, tol=tol)
-    f11 = as_projection(f - f12, tol=tol)
-    s1 = related_witness(e, f, tol)
-    inner = _orthogonal_pair_split(e12, f12, tol)
-    if e11.rank() == 0 and f11.rank() == 0:
+    w1, _, _, inner = _overlap_split(e, f, tol)
+    if w1.e.rank() == 0 and w1.f.rank() == 0:
         return Decomposition(inner.e1, inner.e2, inner.f1, inner.f2, inner.s, e, f)
-    w1 = ExchangeWitness(s1.s, e11, f11) if s1 is not None else ExchangeWitness(unit(e.shape), e11, f11)
     w2 = ExchangeWitness(inner.s, inner.e1, inner.f1)
     s = finite_additivity(w1, w2, tol)
-    e1 = as_projection(e11 + inner.e1, tol=tol)
-    f1 = as_projection(f11 + inner.f1, tol=tol)
+    e1 = as_projection(w1.e + inner.e1, tol=tol)
+    f1 = as_projection(w1.f + inner.f1, tol=tol)
     return Decomposition(e1, inner.e2, f1, inner.f2, s, e, f)
 
 
-def generalized_comparability(e: Projection, f: Projection, tol: Tolerances | None = None) -> ComparabilityResult:
+def generalized_comparability(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ComparabilityResult:
     """Central h and a single symmetry s with s(eh)s below fh and
     s(f(1-h))s below e(1-h).
 
@@ -306,18 +311,8 @@ def generalized_comparability(e: Projection, f: Projection, tol: Tolerances | No
     unmatched f-part picks h, and one application of finite additivity
     merges everything into a single symmetry.
     """
-    tol = active_tol(tol)
-    if e.shape != f.shape:
-        raise PreconditionError("operands have different shapes")
+    w1, e2, f2, inner = _overlap_split(e, f, tol)
     shape = e.shape
-    e2 = meet(e, ortho(f, tol), tol)
-    f2 = meet(ortho(e, tol), f, tol)
-    e1 = as_projection(e - e2, tol=tol)
-    f1 = as_projection(f - f2, tol=tol)
-    rw = related_witness(e, f, tol)
-    w1 = ExchangeWitness(rw.s, e1, f1) if rw is not None else ExchangeWitness(unit(shape), e1, f1)
-
-    inner = _orthogonal_pair_split(e2, f2, tol)
     h = central_cover(inner.f2, tol)
     hm = h.data
     comp = np.eye(shape.dim) - hm
@@ -331,14 +326,13 @@ def generalized_comparability(e: Projection, f: Projection, tol: Tolerances | No
     return ComparabilityResult(h, s, e, f)
 
 
-def relative_center_witness(p: Projection, d: Projection, tol: Tolerances | None = None) -> CentralProjection:
+def relative_center_witness(p: Projection, d: Projection, tol: Tolerances = DEFAULT_TOL) -> CentralProjection:
     """Central c of the whole model with c meet p = d, for d central below p.
 
     Produced from the comparability split of d against p - d; the
     complement of the returned central piece cuts p exactly at d.
     """
-    tol = active_tol(tol)
-    m = interval(p, tol)
+    m = IntervalModel(p, tol)
     if not m.contains(d):
         raise PreconditionError("d is not below p")
     for b in _interval_spanning_set(p):
@@ -347,7 +341,7 @@ def relative_center_witness(p: Projection, d: Projection, tol: Tolerances | None
     rest = m.ortho(d)
     res = generalized_comparability(d, rest, tol)
     c = CentralProjection.from_mask(p.shape, [not x for x in res.h.block_mask])
-    if dist(meet(c, p, tol), d) > active_tol(tol).proj * 10:
+    if dist(meet(c, p, tol), d) > tol.proj * 10:
         raise PreconditionError("comparability split failed to cut p at d")
     return c
 
@@ -365,14 +359,13 @@ def _interval_spanning_set(p: Projection) -> list[Element]:
 
 
 def invariant_is_central_suite(seed: int, shape: ModelShape | None = None, trials: int = 30,
-                               tol: Tolerances | None = None):
+                               tol: Tolerances = DEFAULT_TOL):
     """Randomized checks that invariance coincides with centrality.
 
     For central h: conjugates of subprojections of h stay below h, and a
     zero meet with h forces orthogonality to h.  For non-central h a
     counterexample to the meet condition is found by search.
     """
-    tol = active_tol(tol)
     shape = shape or ModelShape((2, 2))
     rng = XorShift64Star(seed)
     acc = Accumulator(prefix="invariant.")
@@ -405,14 +398,13 @@ def invariant_is_central_suite(seed: int, shape: ModelShape | None = None, trial
 
 
 def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
-                                tol: Tolerances | None = None):
+                                tol: Tolerances = DEFAULT_TOL):
     """Check the central cover of p is the join of conjugated subprojections.
 
     Samples symmetries, conjugates the eigen-subprojections of p, and
     verifies every conjugate stays below the cover while their join
     saturates it blockwise.
     """
-    tol = active_tol(tol)
     acc = Accumulator(prefix="cover_sup.")
     shape = p.shape
     gp = central_cover(p, tol)

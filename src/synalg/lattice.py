@@ -13,12 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Element,
     ModelShape,
     PreconditionError,
     Projection,
     Tolerances,
-    active_tol,
     as_projection,
     block_diag,
     commutes,
@@ -34,34 +34,33 @@ from .report import Accumulator
 from .rng import XorShift64Star
 
 
-def ortho(p: Projection, tol: Tolerances | None = None) -> Projection:
+def ortho(p: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Orthocomplement 1 - p."""
     return Projection._built(p.shape, np.eye(p.shape.dim) - p.data, tol)
 
 
-def join(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
+def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Least upper bound: the projection onto the span of both ranges."""
     return span(p._coerce(q).shape, np.hstack([range_basis(p), range_basis(q)]), tol)
 
 
-def meet(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
+def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Greatest lower bound: the complement of the span of both complements."""
     cols = np.hstack([range_basis(p, inside=False), range_basis(q, inside=False)])
     return ortho(span(p._coerce(q).shape, cols, tol), tol)
 
 
-def orthogonal(p: Projection, q: Projection, tol: Tolerances | None = None) -> bool:
+def orthogonal(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """p and q have orthogonal ranges (pq = 0)."""
-    tol = active_tol(tol)
     return opnorm(p.data @ q.data) <= tol.proj
 
 
-def compatible(p: Projection, q: Projection, tol: Tolerances | None = None) -> bool:
+def compatible(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Compatibility of projections coincides with commuting."""
     return commutes(p, q, tol)
 
 
-def sasaki(p: Projection, q: Projection, tol: Tolerances | None = None) -> Projection:
+def sasaki(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Sasaki projection of q by p, onto p applied to range(q) (the range of
     p q p); lattice-theoretically p meet (ortho(p) join q)."""
     return span(p._coerce(q).shape, range_basis(q), tol, onto=range_basis(p))
@@ -72,8 +71,7 @@ class CentralProjection(Projection):
 
     __slots__ = ("block_mask",)
 
-    def __init__(self, shape, data, *, tol: Tolerances | None = None):
-        tol = active_tol(tol)
+    def __init__(self, shape, data, *, tol: Tolerances = DEFAULT_TOL):
         super().__init__(shape, data, tol=tol)
         mask = _central_mask(self, tol)
         if mask is None:
@@ -106,9 +104,9 @@ def _central_mask(p: Projection, tol: Tolerances) -> tuple[bool, ...] | None:
     return tuple(mask)
 
 
-def is_central(p: Projection, tol: Tolerances | None = None) -> bool:
+def is_central(p: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff p is blockwise 0 or 1 (equivalently, commutes with the model)."""
-    return _central_mask(p, active_tol(tol)) is not None
+    return _central_mask(p, tol) is not None
 
 
 def center_basis(shape: ModelShape) -> list[CentralProjection]:
@@ -133,17 +131,16 @@ def center_elements(shape: ModelShape) -> list[CentralProjection]:
     return out
 
 
-def central_cover(a: Element, tol: Tolerances | None = None) -> CentralProjection:
+def central_cover(a: Element, tol: Tolerances = DEFAULT_TOL) -> CentralProjection:
     """Smallest central projection dominating the support of a.
 
     Blockwise: a block contributes iff a's restriction to it is nonzero.
     """
-    tol = active_tol(tol)
     mask = [opnorm(a.block(i)) > tol.rank for i in range(a.shape.nblocks)]
     return CentralProjection.from_mask(a.shape, mask)
 
 
-def centrally_orthogonal(ps: list[Projection], tol: Tolerances | None = None) -> list[CentralProjection] | None:
+def centrally_orthogonal(ps: list[Projection], tol: Tolerances = DEFAULT_TOL) -> list[CentralProjection] | None:
     """Witnessing family of pairwise orthogonal central covers, if one exists.
 
     The central covers are the minimal candidates, so the family is
@@ -157,7 +154,7 @@ def centrally_orthogonal(ps: list[Projection], tol: Tolerances | None = None) ->
     return covers
 
 
-def co_join(ps: list[Projection], shape: ModelShape | None = None, tol: Tolerances | None = None) -> Projection:
+def co_join(ps: list[Projection], shape: ModelShape | None = None, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Supremum of a centrally orthogonal family; equals its plain sum."""
     if not ps:
         if shape is None:
@@ -179,9 +176,9 @@ class IntervalModel:
     orthocomplementation.
     """
 
-    def __init__(self, p: Projection, tol: Tolerances | None = None):
+    def __init__(self, p: Projection, tol: Tolerances = DEFAULT_TOL):
         self.p = p
-        self.tol = active_tol(tol)
+        self.tol = tol
 
     def compress(self, a: Element) -> Element:
         return quad(self.p, a)
@@ -217,12 +214,8 @@ class IntervalModel:
         return self.meet(q, self.join(self.ortho(q), r))
 
 
-def interval(p: Projection, tol: Tolerances | None = None) -> IntervalModel:
-    return IntervalModel(p, tol)
-
-
 def gamma_props_suite(seed: int, shape: ModelShape | None = None, trials: int = 40,
-                      tol: Tolerances | None = None) -> Accumulator:
+                      tol: Tolerances = DEFAULT_TOL) -> Accumulator:
     """Randomized verification of the central cover laws.
 
     Checks, over random projections: idempotence and monotonicity of the
@@ -230,7 +223,6 @@ def gamma_props_suite(seed: int, shape: ModelShape | None = None, trials: int = 
     transfers, finite join additivity, and that covers land in (and
     exhaust) the center.  On tiny shapes the center is swept exhaustively.
     """
-    tol = active_tol(tol)
     shape = shape or ModelShape((2, 2))
     rng = XorShift64Star(seed)
     acc = Accumulator(prefix="gamma.")

@@ -8,6 +8,7 @@ files round-trip exactly through binary doubles.
 from __future__ import annotations
 
 from .core import (
+    DEFAULT_TOL,
     Element,
     EnvelopingElement,
     ModelShape,
@@ -29,7 +30,7 @@ def format_matrix(el: EnvelopingElement) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str, kind: str = "element", tol: Tolerances | None = None):
+def parse_matrix(text: str, kind: str = "element", tol: Tolerances = DEFAULT_TOL):
     """Parse matrix text into the requested kind of value.
 
     kind is one of "element", "envelope", "projection", "symmetry".
@@ -79,6 +80,6 @@ def write_matrix(path, el: EnvelopingElement) -> None:
         fh.write(format_matrix(el))
 
 
-def read_matrix(path, kind: str = "element", tol: Tolerances | None = None):
+def read_matrix(path, kind: str = "element", tol: Tolerances = DEFAULT_TOL):
     with open(path, "r", encoding="ascii") as fh:
         return parse_matrix(fh.read(), kind=kind, tol=tol)

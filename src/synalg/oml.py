@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     PreconditionError,
     Projection,
     SynalgError,
     Tolerances,
-    active_tol,
     dist,
     opnorm,
     unit_projection,
@@ -272,24 +272,6 @@ def oml_compatible(l: FiniteOml, p: int, q: int) -> bool:
             and l.join(l.meet(p, q), l.meet(l.oc(p), q)) == q)
 
 
-def oml_compatible_by_search(l: FiniteOml, p: int, q: int) -> bool:
-    """Compatibility by exhaustive search for the decomposing triple."""
-    m = len(l)
-    for d in range(m):
-        if not (l.le(d, p) and l.le(d, q)):
-            continue
-        for p1 in range(m):
-            if not (l.le(p1, p) and l.perp(p1, d)):
-                continue
-            if l.join(p1, d) != p:
-                continue
-            for q1 in range(m):
-                if (l.le(q1, q) and l.perp(q1, d) and l.perp(p1, q1)
-                        and l.join(q1, d) == q):
-                    return True
-    return False
-
-
 def oml_center(l: FiniteOml) -> list[int]:
     m = len(l)
     return [c for c in range(m) if all(oml_compatible(l, c, x) for x in range(m))]
@@ -361,13 +343,6 @@ class OmlElementPairReport:
     strongly_perspective: int | None
 
 
-def common_complements(l: FiniteOml, p: int, q: int) -> list[int]:
-    m = len(l)
-    return [w for w in range(m)
-            if l.meet(p, w) == l.bottom and l.join(p, w) == l.top
-            and l.meet(q, w) == l.bottom and l.join(q, w) == l.top]
-
-
 def interval_common_complements(l: FiniteOml, p: int, q: int, top: int) -> list[int]:
     return [w for w in range(len(l))
             if l.le(w, top)
@@ -376,7 +351,7 @@ def interval_common_complements(l: FiniteOml, p: int, q: int, top: int) -> list[
 
 
 def oml_perspectivity(l: FiniteOml, p: int, q: int) -> OmlElementPairReport:
-    persp = common_complements(l, p, q)
+    persp = interval_common_complements(l, p, q, l.top)
     strong = interval_common_complements(l, p, q, l.join(p, q))
     return OmlElementPairReport(
         compatible=oml_compatible(l, p, q),
@@ -405,7 +380,7 @@ def relcompl_lift_check(l: FiniteOml) -> Accumulator:
                     continue
                 for w in interval_common_complements(l, e, f, p):
                     lifted = l.join(w, l.oc(p))
-                    ok = ok and lifted in common_complements(l, e, f)
+                    ok = ok and lifted in interval_common_complements(l, e, f, l.top)
     acc.check("interval_complement_lifts", ok)
     return acc
 
@@ -468,18 +443,11 @@ def six_piece_decomposition(l: FiniteOml, p: int, q: int, e: int, f: int) -> Six
     acc.check("p2_q2_orthogonal", l.perp(p2, q2))
     pq1 = l.join(p1, q1)
     pq2 = l.join(p2, q2)
-    acc.check("p1q1_perspective_to_e",
-              bool(interval_common_complements(l, pq1, e, l.join(pq1, e))))
+    pq1_e = interval_common_complements(l, pq1, e, l.join(pq1, e))
+    acc.check("p1q1_perspective_to_e", bool(pq1_e))
     acc.check("p2q2_perspective_to_f",
               bool(interval_common_complements(l, pq2, f, l.join(pq2, f))))
-    shared = False
-    for v1 in w1s:
-        top = l.join(pq1, e)
-        if (l.le(v1, top) and l.meet(pq1, v1) == l.bottom and l.join(pq1, v1) == top
-                and l.meet(e, v1) == l.bottom and l.join(e, v1) == top):
-            shared = True
-            break
-    acc.check("witness_transfers_to_e", shared)
+    acc.check("witness_transfers_to_e", any(v1 in pq1_e for v1 in w1s))
     return SixPieceReport(p1, p2, q1, q2, e1, f2,
                           w1s[0] if w1s else -1, w2s[0] if w2s else -1, acc)
 
@@ -588,14 +556,13 @@ def mo_oml(n: int) -> FiniteOml:
 
 
 def oml_from_projections(ps: list[Projection], cap: int = 64,
-                         tol: Tolerances | None = None) -> tuple[FiniteOml, list[Projection]]:
+                         tol: Tolerances = DEFAULT_TOL) -> tuple[FiniteOml, list[Projection]]:
     """Close a finite family of concrete projections into a finite lattice.
 
     Iterates meet, join and complement until stable, deduplicating by
     matrix distance; raises ClosureExplosionError past the cap.  Returns
     the abstract lattice and the matrix for each element.
     """
-    tol = active_tol(tol)
     if not ps:
         raise ValueError("need at least one projection")
     shape = ps[0].shape

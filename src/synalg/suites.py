@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     Element,
     ModelShape,
     NotInvertibleError,
@@ -20,7 +21,6 @@ from .core import (
     Symmetry,
     Tolerances,
     absolute,
-    active_tol,
     as_projection,
     block_frame,
     carrier,
@@ -48,12 +48,12 @@ from .core import (
     zero,
 )
 from .lattice import (
+    IntervalModel,
     center_basis,
     center_elements,
     central_cover,
     compatible,
     gamma_props_suite,
-    interval,
     is_central,
     join,
     meet,
@@ -125,7 +125,7 @@ class SuiteConfig:
     seed: int = 42
     trials: int = 30
     shape: ModelShape = field(default_factory=lambda: ModelShape((2, 3)))
-    tolerances: Tolerances | None = None
+    tolerances: Tolerances = DEFAULT_TOL
     suites: tuple[str, ...] = SUITE_NAMES
 
     def __post_init__(self):
@@ -251,9 +251,8 @@ def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: i
 # -- suites ---------------------------------------------------------------
 
 def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
-                     trials: int, tol: Tolerances | None = None,
+                     trials: int, tol: Tolerances = DEFAULT_TOL,
                      lambda_samples: int = 6) -> None:
-    tol = active_tol(tol)
     one = unit(shape)
     for _ in range(trials):
         a = rng.element(shape)
@@ -316,7 +315,7 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
             q = span(small, v[:, [i for i in range(small.dim) if bits >> i & 1]])
             if opnorm(a.data @ q.data - a.data) <= 1e-10 * (1 + order_unit_norm(a)):
                 below = float(np.min((q - car).eigenvalues()))
-                acc.observe("synalg.carrier_minimality", max(0.0, -below), active_tol(tol).psd)
+                acc.observe("synalg.carrier_minimality", max(0.0, -below), tol.psd)
     singular = Element(ModelShape((2,)), [[1.0, 0.0], [0.0, 0.0]])
     try:
         inverse(singular)
@@ -330,8 +329,7 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
 
 
 def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
-                      trials: int, tol: Tolerances | None = None) -> None:
-    tol = active_tol(tol)
+                      trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one_p = unit_projection(shape)
     for _ in range(trials):
         p = rng.projection(shape)
@@ -363,7 +361,7 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         if orthogonal(sub, sub2):
             acc.observe("lattice.orthogonal_join_is_sum",
                         dist(join(sub, sub2), as_projection(sub + sub2)), 1e-8)
-        m = interval(p)
+        m = IntervalModel(p)
         qq = meet(rng.projection(shape), p)
         rr = meet(rng.projection(shape), p)
         acc.observe("lattice.interval_ortho", dist(m.ortho(qq), as_projection(p - qq)), 1e-8)
@@ -426,8 +424,7 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
 
 
 def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
-                       trials: int, tol: Tolerances | None = None) -> None:
-    tol = active_tol(tol)
+                       trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one = unit(shape)
     for _ in range(trials):
         a = rng.element(shape)
@@ -517,8 +514,7 @@ def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
 
 
 def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
-                            trials: int, tol: Tolerances | None = None) -> None:
-    tol = active_tol(tol)
+                            trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     for _ in range(trials):
         p = rng.projection(shape)
         chain = SymmetryChain(tuple(rng.symmetry(shape) for _ in range(1 + rng.randint(3))))
@@ -595,7 +591,7 @@ def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelS
         run_six_piece_equivalence(acc, sk3e_rng, tol)
 
 
-def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolerances | None = None) -> None:
+def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolerances = DEFAULT_TOL) -> None:
     """End-to-end check of the six-piece split feeding chain equivalence.
 
     Generates two orthogonal splittings of the same projection in a 4x4
@@ -605,7 +601,6 @@ def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolera
     construction; the resulting chains must carry p1 join q1 onto e and
     p2 join q2 onto f.
     """
-    tol = active_tol(tol)
     shape = ModelShape((4,))
     k = rng.projection(shape, rank=3)
     p, q = split_projection(rng, k)
@@ -645,9 +640,8 @@ def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolera
 
 
 def run_oml_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
-                  trials: int, tol: Tolerances | None = None) -> None:
+                  trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     """Finite OML checks; `shape` is unused, since the suite builds its own."""
-    tol = active_tol(tol)
     for n in (2, 3, 4):
         b = boolean_oml(n)
         acc.check(f"oml.boolean{1 << n}_verifies", verify_oml(b).passed)

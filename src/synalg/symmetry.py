@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
     DriftError,
     Element,
     ModelShape,
@@ -25,7 +26,6 @@ from .core import (
     Projection,
     Symmetry,
     Tolerances,
-    active_tol,
     as_projection,
     dist,
     jordan,
@@ -54,8 +54,8 @@ class ExchangeWitness:
     def residual(self) -> float:
         return dist(quad(self.s, self.e), self.f)
 
-    def verify(self, tol: Tolerances | None = None) -> bool:
-        return self.residual() <= active_tol(tol).proj
+    def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        return self.residual() <= tol.proj
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ class PerspectivityWitness:
     common_complement: Projection
     ambient: Projection | None = None
 
-    def residuals(self, tol: Tolerances | None = None) -> dict[str, float]:
-        tol = active_tol(tol)
+    def residuals(self, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
         w = self.common_complement
         shape = self.e.shape
         top = self.ambient if self.ambient is not None else unit_projection(shape)
@@ -83,19 +82,17 @@ class PerspectivityWitness:
             "meet_f": opnorm(meet(self.f, w, tol).data),
         }
 
-    def verify(self, tol: Tolerances | None = None) -> bool:
-        t = active_tol(tol)
-        return all(r <= t.proj for r in self.residuals(tol).values())
+    def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:
+        return all(r <= tol.proj for r in self.residuals(tol).values())
 
 
 # -- elementary correspondences -----------------------------------------
 
-def canonical_extension(t: Element, tol: Tolerances | None = None) -> Symmetry:
+def canonical_extension(t: Element, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Extend a partial symmetry t to the full symmetry t + (1 - t^2).
 
     If t exchanges a pair of projections, so does the extension.
     """
-    tol = active_tol(tol)
     sq = jordan(t, t)
     if opnorm(sq.data @ sq.data - sq.data) > tol.proj:
         raise PreconditionError("canonical_extension: t^2 is not a projection")
@@ -104,59 +101,54 @@ def canonical_extension(t: Element, tol: Tolerances | None = None) -> Symmetry:
 
 # -- exchange constructions ---------------------------------------------
 
-def exchange_efe_fef(e: Projection, f: Projection, tol: Tolerances | None = None) -> Symmetry:
+def exchange_efe_fef(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Symmetry s with s (efe) s = fef.
 
     Built as the canonical extension of the spectral sign of e + f - 1.
     Conjugation by s also carries the Sasaki projection of f by e onto
     the Sasaki projection of e by f.
     """
-    tol = active_tol(tol)
     t = signum(e + f - unit(e.shape), tol)
     return canonical_extension(t, tol)
 
 
-def sasaki_exchange(e: Projection, f: Projection, tol: Tolerances | None = None) -> ExchangeWitness:
+def sasaki_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness:
     """Witness exchanging the two Sasaki projections of the pair (e, f)."""
     s = exchange_efe_fef(e, f, tol)
     return ExchangeWitness(s, sasaki(e, f, tol), sasaki(f, e, tol))
 
 
-def parallelogram_exchange(e: Projection, f: Projection, tol: Tolerances | None = None) -> ExchangeWitness:
+def parallelogram_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness:
     """Witness exchanging e - (e meet f) with (e join f) - f.
 
     Reduces to the Sasaki exchange of the pair (e, ortho(f)).
     """
-    tol = active_tol(tol)
     s = exchange_efe_fef(e, ortho(f, tol), tol)
     left = as_projection(e - meet(e, f, tol), tol=tol)
     right = as_projection(join(e, f, tol) - f, tol=tol)
     return ExchangeWitness(s, left, right)
 
 
-def complement_exchange(e: Projection, f: Projection, tol: Tolerances | None = None) -> Symmetry:
+def complement_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """For complements e, f: the symmetry exchanging e with ortho(f)."""
-    tol = active_tol(tol)
     if opnorm(meet(e, f, tol).data) > tol.proj or dist(join(e, f, tol), unit_projection(e.shape)) > tol.proj:
         raise PreconditionError("complement_exchange: e and f are not complements")
     return parallelogram_exchange(e, f, tol).s
 
 
-def related_witness(e: Projection, f: Projection, tol: Tolerances | None = None) -> ExchangeWitness | None:
+def related_witness(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness | None:
     """Nonzero exchanged subprojections of a non-orthogonal pair.
 
     Returns None for orthogonal inputs, where both Sasaki projections
     vanish and this construction has nothing to offer.
     """
-    tol = active_tol(tol)
     if orthogonal(e, f, tol):
         return None
     return sasaki_exchange(e, f, tol)
 
 
-def common_complement_from_exchange(w: ExchangeWitness, tol: Tolerances | None = None) -> PerspectivityWitness:
+def common_complement_from_exchange(w: ExchangeWitness, tol: Tolerances = DEFAULT_TOL) -> PerspectivityWitness:
     """For exchanged complements e, f: the projection (1 + s)/2 complements both."""
-    tol = active_tol(tol)
     one = unit_projection(w.e.shape)
     if opnorm(meet(w.e, w.f, tol).data) > tol.proj or dist(join(w.e, w.f, tol), one) > tol.proj:
         raise PreconditionError("inputs are not complements in the lattice")
@@ -164,14 +156,13 @@ def common_complement_from_exchange(w: ExchangeWitness, tol: Tolerances | None =
     return PerspectivityWitness(w.e, w.f, p, ambient=None)
 
 
-def strong_perspectivity(w: ExchangeWitness, tol: Tolerances | None = None) -> PerspectivityWitness:
+def strong_perspectivity(w: ExchangeWitness, tol: Tolerances = DEFAULT_TOL) -> PerspectivityWitness:
     """Common complement of an exchanged pair inside [0, e join f].
 
     With p = e join f and r = p - (e meet f), the conjugate t = r s r is
     a symmetry of the compressed model below r, and q = (r + t)/2 is a
     common complement of e and f in the interval.
     """
-    tol = active_tol(tol)
     e, f, s = w.e, w.f, w.s
     p = join(e, f, tol)
     r = as_projection(p - meet(e, f, tol), tol=tol)
@@ -180,25 +171,23 @@ def strong_perspectivity(w: ExchangeWitness, tol: Tolerances | None = None) -> P
     return PerspectivityWitness(e, f, q, ambient=p)
 
 
-def lift_to_full(pw: PerspectivityWitness, tol: Tolerances | None = None) -> PerspectivityWitness:
+def lift_to_full(pw: PerspectivityWitness, tol: Tolerances = DEFAULT_TOL) -> PerspectivityWitness:
     """Turn an interval complement into one for the whole lattice.
 
     A common complement k below an interval top p lifts to k join ortho(p).
     """
-    tol = active_tol(tol)
     if pw.ambient is None:
         return pw
     k = join(pw.common_complement, ortho(pw.ambient, tol), tol)
     return PerspectivityWitness(pw.e, pw.f, k, ambient=None)
 
 
-def perspective_to_chain(pw: PerspectivityWitness, tol: Tolerances | None = None) -> tuple[Symmetry, Symmetry]:
+def perspective_to_chain(pw: PerspectivityWitness, tol: Tolerances = DEFAULT_TOL) -> tuple[Symmetry, Symmetry]:
     """Two symmetries carrying e onto f through a shared complement.
 
     Each of e and f is exchanged with ortho(p) by a complement exchange,
     so conjugating by the two symmetries in turn maps e to f.
     """
-    tol = active_tol(tol)
     if pw.ambient is not None:
         raise PreconditionError("chain construction needs a full-lattice witness; lift it first")
     if not pw.verify(tol):
@@ -209,13 +198,12 @@ def perspective_to_chain(pw: PerspectivityWitness, tol: Tolerances | None = None
 
 
 def orthogonal_chain_to_symmetry(e: Projection, f: Projection, s1: Symmetry, s2: Symmetry,
-                                 tol: Tolerances | None = None) -> Symmetry:
+                                 tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Collapse a two-step conjugation between orthogonal e, f to one symmetry.
 
     The enveloping intermediates x = s2 s1 e and y = e s1 s2 have a
     symmetric sum, and s = (x + y) + 1 - e - f is the desired symmetry.
     """
-    tol = active_tol(tol)
     if not orthogonal(e, f, tol):
         raise PreconditionError("inputs must be orthogonal")
     chained = quad(s2, quad(s1, e))
@@ -227,7 +215,7 @@ def orthogonal_chain_to_symmetry(e: Projection, f: Projection, s1: Symmetry, s2:
     return Symmetry(e.shape, xy.data + np.eye(e.shape.dim) - e.data - f.data, tol=tol)
 
 
-def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances | None = None) -> Symmetry:
+def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Combine exchanges of two cross-orthogonal pairs into one symmetry.
 
     Requires e1, e2 orthogonal, f1, f2 orthogonal and the cross pairs
@@ -235,7 +223,6 @@ def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances 
     symmetries u = s1 p1 and v = s2 p2 sum with 1 - p1 - p2 to a symmetry
     exchanging e1 + e2 and f1 + f2.
     """
-    tol = active_tol(tol)
     for a, b, label in (
         (w1.e, w2.e, "e1,e2"),
         (w1.f, w2.f, "f1,f2"),
@@ -252,7 +239,7 @@ def finite_additivity(w1: ExchangeWitness, w2: ExchangeWitness, tol: Tolerances 
 
 
 def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None,
-                      tol: Tolerances | None = None) -> Symmetry:
+                      tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Exchange the orthogonal sums of a finite family of exchanged pairs.
 
     Requires the e_i pairwise orthogonal, the f_i pairwise orthogonal and
@@ -263,7 +250,6 @@ def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None
     identities (x y = f, y x = e, doubled compressions) are asserted on
     every run, since their failure signals numerical drift.
     """
-    tol = active_tol(tol)
     if not ws:
         if shape is None:
             raise ValueError("family_additivity of an empty family needs an explicit shape")
@@ -314,13 +300,12 @@ def family_additivity(ws: list[ExchangeWitness], shape: ModelShape | None = None
 
 # -- orthogonal-basis helpers --------------------------------------------
 
-def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances | None = None) -> Symmetry:
+def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """Symmetry exchanging orthogonal projections of equal blockwise rank.
 
     Matched range bases give the partial symmetry sum of b a^T + a b^T,
     whose canonical extension exchanges the pair.
     """
-    tol = active_tol(tol)
     if not orthogonal(e, f, tol):
         raise PreconditionError("inputs must be orthogonal")
     if e.block_ranks() != f.block_ranks():
@@ -330,14 +315,13 @@ def orthogonal_exchange_symmetry(e: Projection, f: Projection, tol: Tolerances |
     return canonical_extension(t, tol)
 
 
-def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances | None = None) -> list[Symmetry]:
+def householder_factors(qmat: np.ndarray, shape: ModelShape, tol: Tolerances = DEFAULT_TOL) -> list[Symmetry]:
     """Factor a block-diagonal orthogonal matrix into symmetric involutions.
 
     Standard reflection-based triangularization; the residue is a
     diagonal sign matrix, itself an involution.  Returns factors
     h1, ..., hk, d with qmat = h1 @ ... @ hk @ d.
     """
-    tol = active_tol(tol)
     n = qmat.shape[0]
     work = qmat.copy()
     factors: list[np.ndarray] = []

@@ -15,6 +15,7 @@ from synalg import (
     leq,
     quad,
 )
+from synalg.core import DEFAULT_TOL
 from synalg.equivalence import (
     EquivalenceWitness,
     SymmetryChain,
@@ -132,6 +133,25 @@ def test_key_subprojection_exchange_long_chains():
             assert ew.e.rank() > 0 and ew.f.rank() > 0
             assert leq(ew.e, p) and leq(ew.f, q)
             assert ew.verify()
+
+
+@pytest.mark.parametrize("blocks", [(2, 3), (8, 8), (5, 7, 3)], ids=["2,3", "8,8", "5,7,3"])
+def test_key_subprojection_exchange_does_not_drift_with_chain_length(blocks):
+    """Each recursion level conjugates and snaps again; over chains of 1..8
+    symmetries the key parts must stay below p and q to tol.psd and stay
+    exchanged to 1e-8."""
+    shape = ModelShape(blocks)
+    rng = XorShift64Star(2024)
+    psd = DEFAULT_TOL.psd
+    for length in range(1, 9):
+        for _ in range(20):
+            p = rng.projection(shape, rank=1 + rng.randint(shape.dim - 1))
+            chain = SymmetryChain(tuple(rng.symmetry(shape) for _ in range(length)))
+            q = as_projection(apply_chain(chain, p))
+            ew = key_subprojection_exchange(EquivalenceWitness(p, q, chain))
+            assert float(np.min((p - ew.e).eigenvalues())) >= -psd, length
+            assert float(np.min((q - ew.f).eigenvalues())) >= -psd, length
+            assert ew.residual() <= 1e-8, length
 
 
 def test_orthogonal_decomposition_cases():

@@ -22,6 +22,7 @@ from synalg import (
 )
 from synalg.lattice import (
     CentralProjection,
+    IntervalModel,
     center_basis,
     center_elements,
     central_cover,
@@ -29,7 +30,6 @@ from synalg.lattice import (
     co_join,
     compatible,
     gamma_props_suite,
-    interval,
     is_central,
     join,
     meet,
@@ -200,7 +200,7 @@ def test_interval_model():
     sh = ModelShape((3,))
     rng = XorShift64Star(28)
     p = rng.projection(sh, rank=2)
-    m = interval(p)
+    m = IntervalModel(p)
     q = meet(rng.projection(sh), p)
     r = meet(rng.projection(sh), p)
     assert dist(m.ortho(q), as_projection(p - q)) < 1e-10
@@ -208,7 +208,7 @@ def test_interval_model():
     assert dist(m.sasaki(q, r), sasaki(q, r)) < 1e-7
     with pytest.raises(PreconditionError):
         m.ortho(unit_projection_3())
-    full = interval(Projection(sh, np.eye(3)))
+    full = IntervalModel(Projection(sh, np.eye(3)))
     q3 = rng.projection(sh)
     r3 = rng.projection(sh)
     assert dist(full.sasaki(q3, r3), sasaki(q3, r3)) < 1e-7

@@ -10,12 +10,12 @@ from synalg.oml import (
     ClosureExplosionError,
     FiniteOml,
     boolean_oml,
-    common_complements,
     compat_preserved_check,
     distributive_triple_check,
     effect_algebra_check,
     format_oml,
     interval_center_check,
+    interval_common_complements,
     interval_sasaki_check,
     is_distributive,
     is_modular,
@@ -23,7 +23,6 @@ from synalg.oml import (
     mo_oml,
     oml_center,
     oml_compatible,
-    oml_compatible_by_search,
     oml_from_projections,
     oml_interval,
     oml_perspectivity,
@@ -98,6 +97,25 @@ def test_boolean_sasaki_is_meet():
             assert oml_compatible(b, p, q)
 
 
+def oml_compatible_by_search(l: FiniteOml, p: int, q: int) -> bool:
+    """Compatibility by exhaustive search for the decomposing triple: the
+    reference that `oml_compatible` is checked against."""
+    m = len(l)
+    for d in range(m):
+        if not (l.le(d, p) and l.le(d, q)):
+            continue
+        for p1 in range(m):
+            if not (l.le(p1, p) and l.perp(p1, d)):
+                continue
+            if l.join(p1, d) != p:
+                continue
+            for q1 in range(m):
+                if (l.le(q1, q) and l.perp(q1, d) and l.perp(p1, q1)
+                        and l.join(q1, d) == q):
+                    return True
+    return False
+
+
 def test_compatibility_formula_matches_search():
     for l in (boolean_oml(2), mo_oml(2), mo_oml(3)):
         for p in range(len(l)):
@@ -135,7 +153,7 @@ def test_boolean_perspective_iff_equal():
     b = boolean_oml(3)
     for p in range(len(b)):
         for q in range(len(b)):
-            persp = bool(common_complements(b, p, q))
+            persp = bool(interval_common_complements(b, p, q, b.top))
             assert persp == (p == q)
 
 
