@@ -269,8 +269,8 @@ def _overlap_split(e: Projection, f: Projection, tol: Tolerances):
 
     Returns the exchange of the overlap parts e - (e meet ortho(f)) and
     f - (ortho(e) meet f) by the Sasaki symmetry (the unit when the pair is
-    orthogonal), the orthogonal rests e meet ortho(f) and ortho(e) meet f,
-    and the decomposition of those rests.
+    orthogonal) and the decomposition of the orthogonal rests
+    e meet ortho(f) and ortho(e) meet f, which it keeps as its e and f.
     """
     if e.shape != f.shape:
         raise PreconditionError("operands have different shapes")
@@ -281,7 +281,7 @@ def _overlap_split(e: Projection, f: Projection, tol: Tolerances):
     rw = related_witness(e, f, tol)
     inner = _orthogonal_pair_split(e_rest, f_rest, tol)
     w = ExchangeWitness(rw.s if rw is not None else unit(e.shape), e_over, f_over)
-    return w, e_rest, f_rest, inner
+    return w, inner
 
 
 def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
@@ -292,7 +292,7 @@ def orthogonal_decomposition(e: Projection, f: Projection, tol: Tolerances = DEF
     exchange; the orthogonal rest is matched greedily and the two
     exchanged parts are merged by finite additivity.
     """
-    w1, _, _, inner = _overlap_split(e, f, tol)
+    w1, inner = _overlap_split(e, f, tol)
     if w1.e.rank() == 0 and w1.f.rank() == 0:
         return Decomposition(inner.e1, inner.e2, inner.f1, inner.f2, inner.s, e, f)
     w2 = ExchangeWitness(inner.s, inner.e1, inner.f1)
@@ -311,16 +311,16 @@ def generalized_comparability(e: Projection, f: Projection, tol: Tolerances = DE
     unmatched f-part picks h, and one application of finite additivity
     merges everything into a single symmetry.
     """
-    w1, e2, f2, inner = _overlap_split(e, f, tol)
+    w1, inner = _overlap_split(e, f, tol)
     shape = e.shape
     h = central_cover(inner.f2, tol)
     hm = h.data
     comp = np.eye(shape.dim) - hm
     s2 = inner.s
-    f3 = as_projection(Element(shape, quad(s2, Element(shape, e2.data @ hm)).data), tol=tol)
-    e3 = as_projection(quad(s2, Element(shape, f2.data @ comp)), tol=tol)
-    a2 = as_projection(Element(shape, e2.data @ hm + e3.data), tol=tol)
-    b2 = as_projection(Element(shape, f3.data + f2.data @ comp), tol=tol)
+    f3 = as_projection(Element(shape, quad(s2, Element(shape, inner.e.data @ hm)).data), tol=tol)
+    e3 = as_projection(quad(s2, Element(shape, inner.f.data @ comp)), tol=tol)
+    a2 = as_projection(Element(shape, inner.e.data @ hm + e3.data), tol=tol)
+    b2 = as_projection(Element(shape, f3.data + inner.f.data @ comp), tol=tol)
     w2 = ExchangeWitness(s2, a2, b2)
     s = finite_additivity(w1, w2, tol)
     return ComparabilityResult(h, s, e, f)

@@ -378,9 +378,9 @@ def relcompl_lift_check(l: FiniteOml) -> Accumulator:
             for f in range(m):
                 if not l.le(f, p):
                     continue
-                for w in interval_common_complements(l, e, f, p):
-                    lifted = l.join(w, l.oc(p))
-                    ok = ok and lifted in interval_common_complements(l, e, f, l.top)
+                ws = interval_common_complements(l, e, f, p)
+                glob = interval_common_complements(l, e, f, l.top) if ws else []
+                ok = ok and all(l.join(w, l.oc(p)) in glob for w in ws)
     acc.check("interval_complement_lifts", ok)
     return acc
 

@@ -138,11 +138,6 @@ class SuiteConfig:
 
 # -- instance generators --------------------------------------------------
 
-def random_frame(rng: XorShift64Star, shape: ModelShape) -> np.ndarray:
-    _, v = eig_sym(rng.element(shape))
-    return v
-
-
 def split_projection(rng: XorShift64Star, k: Projection) -> tuple[Projection, Projection]:
     """Random orthogonal split k = p + q along eigenvectors of a compression."""
     inside = quad(k, rng.element(k.shape))
@@ -222,7 +217,7 @@ def cross_orthogonal_witnesses(rng: XorShift64Star, shape: ModelShape) -> tuple[
     n = shape.dim
     if n < 2:
         return None
-    v = random_frame(rng, shape)
+    _, v = eig_sym(rng.element(shape))
     r = 1 + rng.randint(max(1, n // 2))
     c1 = span(shape, v[:, :r])
     c2 = span(shape, v[:, r:])

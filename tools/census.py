@@ -55,15 +55,14 @@ def _print_fails(results) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--shapes", nargs="+", default=list(SHAPES), metavar="SHAPE")
-    ap.add_argument("--first", type=int, default=1, help="first seed")
-    ap.add_argument("--seeds", type=int, default=100, help="number of consecutive seeds per shape")
+    ap.add_argument("--seeds", type=int, default=100, help="run seeds 1..SEEDS at each shape")
     ap.add_argument("--trials", type=int, default=30)
     ap.add_argument("--workers", type=int, default=os.cpu_count() or 1,
                     help="worker processes, at most one per CPU")
     args = ap.parse_args(argv)
     workers = max(1, min(args.workers, os.cpu_count() or 1))
     jobs = [(shape, seed, args.trials) for shape in args.shapes
-            for seed in range(args.first, args.first + args.seeds)]
+            for seed in range(1, args.seeds + 1)]
     start = time.perf_counter()
     if workers == 1:
         failed_runs = _print_fails(map(run_one, jobs))
