@@ -138,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     omsub = om.add_subparsers(dest="oml_command", required=True)
     ov = omsub.add_parser("verify", help="check the axioms of a lattice file")
     ov.add_argument("file")
-    ov.add_argument("--cap", type=int, default=64,
-                    help="largest lattice on which the de_morgan_triples check runs")
     orp = omsub.add_parser("report", help="pair diagnostics inside a lattice file")
     orp.add_argument("file")
     orp.add_argument("p")
@@ -374,7 +372,7 @@ def cmd_oml(args) -> int:
         return 0
     l = load_oml(args.file)
     if args.oml_command == "verify":
-        acc = verify_oml(l, demorgan_cap=args.cap)
+        acc = verify_oml(l)
         code = _print_lines(acc.lines())
         if acc.passed:
             print(f"INFO elements {len(l)} modular {is_modular(l)} distributive {is_distributive(l)}")
@@ -413,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (OSError, ParseError) as exc:
+    except (OSError, ParseError, UnicodeDecodeError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SynalgError as exc:

@@ -7,6 +7,15 @@ reduction is enough.  Everything here is independent of the matrix
 model; the bridge back is `oml_from_projections`, which closes a finite
 set of concrete projections under meet, join and complement.
 
+Every law is a predicate over index tables: the meet and join tables `M`
+and `J` of `FiniteOml._bound_tables`, the orthocomplement `o`, and tables
+derived from them once per lattice, such as orthogonality `P = leq[:, o]`,
+the Sasaki projection `S[p, q] = M[p, J[o[p], q]]` and Mackey
+compatibility `C`.  A law over triples indexes them into an m**3 array;
+the scalar accessors (`meet`, `join`, `oc`, `oml_sasaki`,
+`oml_compatible`) answer single queries and are the reference the tables
+are tested against.
+
 File format, one directive per line (# starts a comment):
 
     elem <name>
@@ -196,13 +205,9 @@ def format_oml(l: FiniteOml) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verify_oml(l: FiniteOml, demorgan_cap: int = 64) -> Accumulator:
+def verify_oml(l: FiniteOml) -> Accumulator:
     """Full axiom battery: order, bounds, lattice totality, complement
-    laws, orthomodularity, and De Morgan duality.
-
-    The De Morgan law for triples runs only on lattices of at most
-    `demorgan_cap` elements.
-    """
+    laws, orthomodularity, and De Morgan duality for pairs and triples."""
     acc = Accumulator(prefix="oml.")
     m = len(l)
     leq, o, ar = l.leq, l.ortho, np.arange(m)
@@ -232,9 +237,8 @@ def verify_oml(l: FiniteOml, demorgan_cap: int = 64) -> Accumulator:
     meet_oo, join_oo = meet_t[np.ix_(o, o)], join_t[np.ix_(o, o)]
     dm = np.all(o[join_t] == meet_oo) and np.all(o[meet_t] == join_oo)
     acc.check("de_morgan_pairs", bool(dm))
-    if m <= demorgan_cap:
-        dm3 = all(np.array_equal(o[join_t[join_t[s]]], meet_xo[meet_oo[s]]) for s in _chunks(m))
-        acc.check("de_morgan_triples", dm3)
+    dm3 = all(np.array_equal(o[join_t[join_t[s]]], meet_xo[meet_oo[s]]) for s in _chunks(m))
+    acc.check("de_morgan_triples", dm3)
     return acc
 
 
@@ -243,6 +247,14 @@ def _lattice_tables(l: FiniteOml) -> tuple[np.ndarray, np.ndarray]:
     if np.any(meet_t < 0) or np.any(join_t < 0):
         raise PreconditionError("not a lattice: some meets or joins do not exist")
     return meet_t, join_t
+
+
+def _ortho_tables(l: FiniteOml) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Meet table, join table and orthocomplement of an ortholattice."""
+    M, J = _lattice_tables(l)
+    if np.any(l.ortho < 0):
+        raise PreconditionError("not an ortholattice: some orthocomplements are undefined")
+    return M, J, l.ortho
 
 
 def is_modular(l: FiniteOml) -> bool:
@@ -272,30 +284,19 @@ def oml_compatible(l: FiniteOml, p: int, q: int) -> bool:
             and l.join(l.meet(p, q), l.meet(l.oc(p), q)) == q)
 
 
+def _sasaki_table(M: np.ndarray, J: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """S[p, q]: `oml_sasaki(p, q)`, that is M[p, J[o[p], q]]."""
+    return np.take_along_axis(M, J[o], 1)
+
+
+def _compat_table(M: np.ndarray, J: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """C[p, q]: `oml_compatible(p, q)` under the orthocomplement o."""
+    ar = np.arange(len(o))
+    return (J[M, M[:, o]] == ar[:, None]) & (J[M, M[o]] == ar)
+
+
 def oml_center(l: FiniteOml) -> list[int]:
-    m = len(l)
-    return [c for c in range(m) if all(oml_compatible(l, c, x) for x in range(m))]
-
-
-def sasaki_props_report(l: FiniteOml) -> Accumulator:
-    """Exhaustive check of the six Sasaki-projection laws."""
-    acc = Accumulator(prefix="oml.sasaki.")
-    m = len(l)
-    acc.check("duality", all((l.perp(oml_sasaki(l, p, q), r)) == (l.perp(q, oml_sasaki(l, p, r)))
-                             for p in range(m) for q in range(m) for r in range(m)))
-    acc.check("order_preserving", all(l.le(oml_sasaki(l, p, q), oml_sasaki(l, p, r))
-                                      for p in range(m) for q in range(m) for r in range(m) if l.le(q, r)))
-    acc.check("idempotent", all(oml_sasaki(l, p, oml_sasaki(l, p, q)) == oml_sasaki(l, p, q)
-                                for p in range(m) for q in range(m)))
-    acc.check("compatibility_criterion",
-              all((oml_sasaki(l, p, q) == l.meet(p, q)) == oml_compatible(l, p, q)
-                  and (l.le(oml_sasaki(l, p, q), q)) == oml_compatible(l, p, q)
-                  for p in range(m) for q in range(m)))
-    acc.check("kernel_is_orthogonality", all((oml_sasaki(l, p, q) == l.bottom) == l.perp(p, q)
-                                             for p in range(m) for q in range(m)))
-    acc.check("preserves_joins", all(oml_sasaki(l, p, l.join(q, r)) == l.join(oml_sasaki(l, p, q), oml_sasaki(l, p, r))
-                                     for p in range(m) for q in range(m) for r in range(m)))
-    return acc
+    return np.flatnonzero(_compat_table(*_ortho_tables(l)).all(1)).tolist()
 
 
 def oml_interval(l: FiniteOml, p: int) -> tuple[FiniteOml, list[int]]:
@@ -303,33 +304,14 @@ def oml_interval(l: FiniteOml, p: int) -> tuple[FiniteOml, list[int]]:
 
     The orthocomplement inside the interval is q -> ortho(q) meet p.
     """
-    members = [i for i in range(len(l)) if l.le(i, p)]
-    pos = {g: i for i, g in enumerate(members)}
-    leq = l.leq[np.ix_(members, members)]
-    ortho = np.array([pos[l.meet(l.oc(g), p)] for g in members], dtype=int)
-    sub = FiniteOml(tuple(l.names[g] for g in members), leq, ortho, pos[l.bottom], pos[p])
-    return sub, members
-
-
-def interval_sasaki_check(l: FiniteOml, p: int) -> Accumulator:
-    """Exhaustive check that interval Sasaki maps restrict correctly.
-
-    Inside [0, p], for q, r below p: the interval Sasaki of r by q equals
-    the ambient one, and applied to the relative complement of r it gives
-    the ambient Sasaki of ortho(r).
-    """
-    acc = Accumulator(prefix="oml.interval.")
-    sub, members = oml_interval(l, p)
-    ver = verify_oml(sub)
-    acc.check("interval_is_oml", ver.passed)
-    for qi in range(len(sub)):
-        for ri in range(len(sub)):
-            inner = oml_sasaki(sub, qi, ri)
-            acc.check("restriction", members[inner] == oml_sasaki(l, members[qi], members[ri]))
-            inner_c = oml_sasaki(sub, qi, sub.oc(ri))
-            acc.check("relative_complement_rule",
-                      members[inner_c] == oml_sasaki(l, members[qi], l.oc(members[ri])))
-    return acc
+    below = l.leq[:, p]
+    members, pos, oc = np.flatnonzero(below), np.cumsum(below) - 1, l.ortho[below]
+    rel = l._bound_tables()[0][oc, p]
+    if np.any(oc < 0) or np.any(rel < 0):
+        raise PreconditionError(f"the interval below {l.names[p]} has no orthocomplement")
+    sub = FiniteOml(tuple(l.names[g] for g in members), l.leq[np.ix_(members, members)],
+                    pos[rel], int(pos[l.bottom]), int(pos[p]))
+    return sub, members.tolist()
 
 
 @dataclass(frozen=True)
@@ -343,11 +325,19 @@ class OmlElementPairReport:
     strongly_perspective: int | None
 
 
+def _common_complements(l: FiniteOml, M: np.ndarray, J: np.ndarray, a, b, top) -> np.ndarray:
+    """mask[..., w]: w <= top and w complements both a and b inside [0, top].
+
+    a, b and top are ints or index arrays that broadcast together; the mask
+    has m entries for each of their entries.
+    """
+    t = np.asarray(top)[..., None]
+    return (l.leq.T[top] & (M[a] == l.bottom) & (J[a] == t)
+            & (M[b] == l.bottom) & (J[b] == t))
+
+
 def interval_common_complements(l: FiniteOml, p: int, q: int, top: int) -> list[int]:
-    return [w for w in range(len(l))
-            if l.le(w, top)
-            and l.meet(p, w) == l.bottom and l.join(p, w) == top
-            and l.meet(q, w) == l.bottom and l.join(q, w) == top]
+    return np.flatnonzero(_common_complements(l, *_lattice_tables(l), p, q, top)).tolist()
 
 
 def oml_perspectivity(l: FiniteOml, p: int, q: int) -> OmlElementPairReport:
@@ -362,160 +352,124 @@ def oml_perspectivity(l: FiniteOml, p: int, q: int) -> OmlElementPairReport:
     )
 
 
-def relcompl_lift_check(l: FiniteOml) -> Accumulator:
-    """Exhaustive check that interval complements lift to global ones.
+def oml_laws(l: FiniteOml) -> dict[str, bool]:
+    """Exhaustive verdicts of the ortholattice laws, keyed as the oml suite
+    reports them.  With phi_p(q) = S[p, q] the Sasaki projection:
 
-    If w complements both e and f inside [0, p], then w join ortho(p)
-    complements both in the whole lattice.
+    sasaki_props: phi_p(q) perp r iff q perp phi_p(r); phi_p is monotone,
+      idempotent and join-preserving; phi_p(q) = p meet q iff phi_p(q) <= q
+      iff p and q are compatible; phi_p(q) = 0 iff p perp q.
+    lift: a common complement w of e and f inside [0, p] gives the common
+      complement w join ortho(p) in the whole lattice.
+    parallelogram: phi_p(q) and phi_q(p) are strongly perspective.
+    effect_algebra: perp is symmetric, and p <= r iff r = p join q, q perp p.
+    compat_preserved: the elements compatible with r are closed under meet
+      and join.
+    triple_distributivity: r compatible with p and q distributes over them.
+    interval_center: the center cut down to [0, p] is the center of [0, p].
+    interval_sasaki: each [0, p] is an OML whose Sasaki maps are the ambient
+      ones, also on relative complements.
+
+    Temporaries hold m**3 entries; the lift and interval laws loop over p.
+    Raises PreconditionError unless l is a lattice with a total
+    orthocomplement.
     """
-    acc = Accumulator(prefix="oml.lift.")
-    m = len(l)
-    ok = True
+    M, J, o = _ortho_tables(l)
+    leq, m, ar = l.leq, len(l), np.arange(len(l))
+    P = leq[:, o]                        # P[p, q]: p perp q
+    S = _sasaki_table(M, J, o)           # S[p, q]: Sasaki projection of q by p
+    C = _compat_table(M, J, o)
+    sasaki = (np.array_equal(P[S], P[ar[:, None], S[:, None, :]])
+              and np.all(leq[S[:, :, None], S[:, None, :]] | ~leq)
+              and np.array_equal(np.take_along_axis(S, S, 1), S)
+              and np.array_equal(S == M, C) and np.array_equal(leq[S, ar], C)
+              and np.array_equal(S == l.bottom, P)
+              and np.array_equal(S[:, J], J[S[:, :, None], S[:, None, :]]))
+    parallelogram = np.all(_common_complements(l, M, J, S, S.T, J[S, S.T]).any(-1))
+    induced = (P[:, :, None] & (J[:, :, None] == ar)).any(1)  # [p, r]: r = p join q, q perp p
+    effect = np.array_equal(P, P.T) and np.array_equal(induced, leq)
+    # [p, q, r]: p and q compatible with r, and r compatible with p and q
+    with_r, r_with = C[:, None, :] & C[None], C.T[:, None, :] & C.T[None]
+    compat = np.all(~with_r | (C[J] & C[M]))
+    triple = np.all(~r_with | ((M[J] == J[M[:, None, :], M[None]])
+                               & (J[M] == M[J[:, None, :], J[None]])))
+    center = C.all(1)
+    lift = cut = interval = True
     for p in range(m):
-        for e in range(m):
-            if not l.le(e, p):
-                continue
-            for f in range(m):
-                if not l.le(f, p):
-                    continue
-                ws = interval_common_complements(l, e, f, p)
-                glob = interval_common_complements(l, e, f, l.top) if ws else []
-                ok = ok and all(l.join(w, l.oc(p)) in glob for w in ws)
-    acc.check("interval_complement_lifts", ok)
-    return acc
-
-
-def parallelogram_check(l: FiniteOml) -> Accumulator:
-    """Sasaki images phi_p(q) and phi_q(p) are strongly perspective, all pairs."""
-    acc = Accumulator(prefix="oml.parallelogram.")
-    m = len(l)
-    ok = True
-    for p in range(m):
-        for q in range(m):
-            a = oml_sasaki(l, p, q)
-            b = oml_sasaki(l, q, p)
-            ok = ok and bool(interval_common_complements(l, a, b, l.join(a, b)))
-    acc.check("sasaki_pair_strongly_perspective", ok)
-    return acc
+        below = leq[:, p]
+        x, y = np.flatnonzero(below)[:, None], np.flatnonzero(below)  # all pairs below p
+        inside = _common_complements(l, M, J, x, y, p)
+        whole = _common_complements(l, M, J, x, y, l.top)
+        lift = lift and np.all(~inside | whole[..., J[:, o[p]]])
+        rel = M[p, o]                    # the orthocomplement of [0, p]
+        sub_center = below & np.all(_compat_table(M, J, rel) | ~below, axis=1)
+        cut = cut and np.array_equal(np.isin(ar, M[center, p]), sub_center)
+        interval = (interval and verify_oml(oml_interval(l, p)[0]).passed
+                    and np.array_equal(M[x, J[rel[x], y]], S[x, y])
+                    and np.array_equal(M[x, J[rel[x], rel[y]]], S[x, o[y]]))
+    return {"sasaki_props": bool(sasaki), "lift": bool(lift), "parallelogram": bool(parallelogram),
+            "effect_algebra": bool(effect), "compat_preserved": bool(compat),
+            "triple_distributivity": bool(triple), "interval_center": bool(cut),
+            "interval_sasaki": bool(interval)}
 
 
 @dataclass(frozen=True)
 class SixPieceReport:
-    """Pieces and witnesses of the two-splitting decomposition."""
+    """The six pieces of two orthogonal splittings, and whether the laws hold."""
 
-    p1: int
-    p2: int
-    q1: int
-    q2: int
-    e1: int
-    f2: int
-    witness_p1_e1: int
-    witness_q2_f2: int
-    checks: Accumulator
+    p1: int | np.ndarray
+    p2: int | np.ndarray
+    q1: int | np.ndarray
+    q2: int | np.ndarray
+    e1: int | np.ndarray
+    f2: int | np.ndarray
+    passed: bool | np.ndarray
 
 
-def six_piece_decomposition(l: FiniteOml, p: int, q: int, e: int, f: int) -> SixPieceReport:
+def six_piece_decomposition(l: FiniteOml, p, q, e, f) -> SixPieceReport:
     """Decompose two orthogonal splittings of the same element.
 
     For p perp q, e perp f with p join q = e join f, the six derived
     pieces satisfy: p1 strongly perspective to e1, q2 strongly
     perspective to f2, the stated orthogonal sums recombine, and the
     common complement of p1, e1 also complements p1 join q1 against e.
+    p, q, e and f are ints or equal-shape index arrays, one decomposition
+    for each entry; temporaries hold m entries for each.
     """
-    if not (l.perp(p, q) and l.perp(e, f) and l.join(p, q) == l.join(e, f)):
+    M, J, o = _ortho_tables(l)
+    P = l.leq[:, o]
+    if not np.all(P[p, q] & P[e, f] & (J[p, q] == J[e, f])):
         raise PreconditionError("inputs must be orthogonal splittings of a common join")
-    acc = Accumulator(prefix="oml.sixpiece.")
-    p1 = l.meet(p, l.oc(l.meet(p, f)))
-    p2 = l.meet(p, f)
-    q1 = l.meet(q, e)
-    q2 = l.meet(q, l.oc(l.meet(q, e)))
-    e1 = l.meet(e, l.oc(l.meet(e, q)))
-    f2 = l.meet(f, l.oc(l.meet(f, p)))
-    w1s = interval_common_complements(l, p1, e1, l.join(p1, e1))
-    w2s = interval_common_complements(l, q2, f2, l.join(q2, f2))
-    acc.check("p1_e1_strongly_perspective", bool(w1s))
-    acc.check("q2_f2_strongly_perspective", bool(w2s))
-    acc.check("p_recombines", l.perp(p1, p2) and l.join(p1, p2) == p)
-    acc.check("e_recombines", l.perp(q1, e1) and l.join(q1, e1) == e)
-    acc.check("f_recombines", l.perp(p2, f2) and l.join(p2, f2) == f)
-    acc.check("q_recombines", l.perp(q1, q2) and l.join(q1, q2) == q)
-    acc.check("p1_q1_orthogonal", l.perp(p1, q1))
-    acc.check("p2_q2_orthogonal", l.perp(p2, q2))
-    pq1 = l.join(p1, q1)
-    pq2 = l.join(p2, q2)
-    pq1_e = interval_common_complements(l, pq1, e, l.join(pq1, e))
-    acc.check("p1q1_perspective_to_e", bool(pq1_e))
-    acc.check("p2q2_perspective_to_f",
-              bool(interval_common_complements(l, pq2, f, l.join(pq2, f))))
-    acc.check("witness_transfers_to_e", any(v1 in pq1_e for v1 in w1s))
-    return SixPieceReport(p1, p2, q1, q2, e1, f2,
-                          w1s[0] if w1s else -1, w2s[0] if w2s else -1, acc)
+    p2, q1 = M[p, f], M[q, e]
+    p1, q2 = M[p, o[p2]], M[q, o[q1]]
+    e1, f2 = M[e, o[M[e, q]]], M[f, o[M[f, p]]]
+    pq1, pq2 = J[p1, q1], J[p2, q2]
+
+    def strong(a, b):
+        return _common_complements(l, M, J, a, b, J[a, b])
+
+    passed = (P[p1, p2] & (J[p1, p2] == p) & P[q1, e1] & (J[q1, e1] == e)
+              & P[p2, f2] & (J[p2, f2] == f) & P[q1, q2] & (J[q1, q2] == q)
+              & P[p1, q1] & P[p2, q2] & strong(q2, f2).any(-1) & strong(pq2, f).any(-1)
+              # a common complement of p1 and e1 that also serves p1 join q1
+              # and e: both pairs are then strongly perspective
+              & (strong(p1, e1) & strong(pq1, e)).any(-1))
+    return SixPieceReport(p1, p2, q1, q2, e1, f2, passed)
 
 
-def effect_algebra_check(l: FiniteOml) -> Accumulator:
-    """Partial orthosum view: defined exactly on orthogonal pairs, with the
-    induced order matching the lattice order."""
-    acc = Accumulator(prefix="oml.effect.")
-    m = len(l)
-    ok_def = all((l.perp(p, q)) == (l.perp(q, p)) for p in range(m) for q in range(m))
-    acc.check("orthosum_domain_symmetric", ok_def)
-    ok_order = True
-    for p in range(m):
-        for r in range(m):
-            exists = any(l.perp(p, q) and l.join(p, q) == r for q in range(m))
-            ok_order = ok_order and (exists == l.le(p, r))
-    acc.check("induced_order_matches", ok_order)
-    return acc
+def six_piece_exhaustive(l: FiniteOml) -> tuple[bool, int]:
+    """`six_piece_decomposition` on every pair of orthogonal splittings of a
+    common element, all (p, q, e, f) with p perp q, e perp f and
+    p join q = e join f.  Returns whether all pass, and how many there are.
 
-
-def compat_preserved_check(l: FiniteOml) -> Accumulator:
-    """Compatibility with a fixed element survives meets and joins."""
-    acc = Accumulator(prefix="oml.compat.")
-    m = len(l)
-    ok = True
-    for r in range(m):
-        compat = [x for x in range(m) if oml_compatible(l, x, r)]
-        for p in compat:
-            for q in compat:
-                ok = ok and oml_compatible(l, l.join(p, q), r) and oml_compatible(l, l.meet(p, q), r)
-    acc.check("compatibility_closed_under_bounds", ok)
-    return acc
-
-
-def distributive_triple_check(l: FiniteOml) -> Accumulator:
-    """One element compatible with the other two forces distributivity."""
-    acc = Accumulator(prefix="oml.triple.")
-    m = len(l)
-    ok = True
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                if not (oml_compatible(l, r, p) and oml_compatible(l, r, q)):
-                    continue
-                ok = ok and l.meet(l.join(p, q), r) == l.join(l.meet(p, r), l.meet(q, r))
-                ok = ok and l.join(l.meet(p, q), r) == l.meet(l.join(p, r), l.join(q, r))
-    acc.check("compatible_triple_distributes", ok)
-    return acc
-
-
-def interval_center_check(l: FiniteOml) -> Accumulator:
-    """Central elements cut down into interval centers; reports whether the
-    lattice has the relative center property (every interval-central
-    element arises that way)."""
-    acc = Accumulator(prefix="oml.intcenter.")
-    center = set(oml_center(l))
-    ok_cut = True
-    relative = True
-    for p in range(len(l)):
-        sub, members = oml_interval(l, p)
-        sub_center = {members[i] for i in oml_center(sub)}
-        for c in center:
-            ok_cut = ok_cut and (l.meet(c, p) in sub_center)
-        cuts = {l.meet(c, p) for c in center}
-        relative = relative and sub_center <= cuts
-    acc.check("central_cut_is_interval_central", ok_cut)
-    acc.check("relative_center_property", relative)
-    return acc
+    Pairing the splittings takes (orthogonal pairs)**2 entries, and the
+    decompositions m per quadruple.
+    """
+    M, J, o = _ortho_tables(l)
+    p, q = np.nonzero(l.leq[:, o])
+    top = J[p, q]
+    i, j = np.nonzero(top[:, None] == top)
+    return bool(np.all(six_piece_decomposition(l, p[i], q[i], p[j], q[j]).passed)), len(i)
 
 
 # -- generators ----------------------------------------------------------

@@ -79,19 +79,13 @@ from .equivalence import (
 )
 from .oml import (
     boolean_oml,
-    compat_preserved_check,
-    distributive_triple_check,
-    effect_algebra_check,
-    interval_center_check,
-    interval_sasaki_check,
     is_distributive,
     mo_oml,
     oml_compatible,
     oml_from_projections,
-    parallelogram_check,
-    relcompl_lift_check,
-    sasaki_props_report,
+    oml_laws,
     six_piece_decomposition,
+    six_piece_exhaustive,
     verify_oml,
 )
 from .report import Accumulator, ReportLine
@@ -616,12 +610,7 @@ def run_six_piece_equivalence(acc: Accumulator, rng: XorShift64Star, tol: Tolera
         other = meet(second, target, tol)
         left = join(x1, other, tol)
         top = join(left, target, tol)
-        res = {
-            "join_left": dist(join(left, v1, tol), top),
-            "join_target": dist(join(target, v1, tol), top),
-            "meet_left": opnorm(meet(left, v1, tol).data),
-            "meet_target": opnorm(meet(target, v1, tol).data),
-        }
+        res = PerspectivityWitness(left, target, v1, ambient=top).residuals(tol)
         acc.observe("comparability.sixpiece_complement_transfers", max(res.values()), 1e-7)
         full = join(v1, ortho(top, tol), tol)
         pwit = PerspectivityWitness(left, target, full, ambient=None)
@@ -647,33 +636,11 @@ def run_oml_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
     acc.check("oml.mo2_atoms_incompatible",
               not oml_compatible(mo2, mo2.index("a1"), mo2.index("a2")))
     for l, label in ((boolean_oml(3), "boolean8"), (mo2, "mo2"), (mo_oml(3), "mo3")):
-        acc.check(f"oml.{label}_sasaki_props", sasaki_props_report(l).passed)
-        acc.check(f"oml.{label}_lift", relcompl_lift_check(l).passed)
-        acc.check(f"oml.{label}_parallelogram", parallelogram_check(l).passed)
-        acc.check(f"oml.{label}_effect_algebra", effect_algebra_check(l).passed)
-        acc.check(f"oml.{label}_compat_preserved", compat_preserved_check(l).passed)
-        acc.check(f"oml.{label}_triple_distributivity", distributive_triple_check(l).passed)
-        acc.check(f"oml.{label}_interval_center", interval_center_check(l).passed)
-        for pidx in range(len(l)):
-            acc.check(f"oml.{label}_interval_sasaki", interval_sasaki_check(l, pidx).passed)
+        for law, ok in oml_laws(l).items():
+            acc.check(f"oml.{label}_{law}", ok)
     for l, label in ((boolean_oml(4), "boolean16"), (mo_oml(7), "mo7")):
         acc.check(f"oml.{label}_verifies", verify_oml(l).passed)
-        count = 0
-        ok = True
-        m = len(l)
-        for p in range(m):
-            for q in range(m):
-                if not l.perp(p, q):
-                    continue
-                top = l.join(p, q)
-                for e in range(m):
-                    if not l.le(e, top):
-                        continue
-                    for f in range(m):
-                        if l.le(f, top) and l.perp(e, f) and l.join(e, f) == top:
-                            rep = six_piece_decomposition(l, p, q, e, f)
-                            ok = ok and rep.checks.passed
-                            count += 1
+        ok, count = six_piece_exhaustive(l)
         acc.check(f"oml.{label}_six_piece_exhaustive", ok and count > 0)
     shape = ModelShape((2,))
     e = Projection(shape, [[1.0, 0.0], [0.0, 0.0]])
@@ -697,7 +664,7 @@ def run_oml_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         if l3.join(idx[0], idx[1]) != l3.join(idx[2], idx[3]):
             continue
         rep = six_piece_decomposition(l3, idx[0], idx[1], idx[2], idx[3])
-        acc.check("oml.matrix_six_piece_crosscheck", rep.checks.passed)
+        acc.check("oml.matrix_six_piece_crosscheck", rep.passed)
         pieces_abs = pool3[rep.p1]
         pieces_mat = meet(p, ortho(meet(p, f2, tol), tol), tol)
         acc.observe("oml.matrix_piece_agreement", dist(pieces_abs, pieces_mat), 1e-7)

@@ -49,6 +49,7 @@ from synalg.oml import (
     mo_oml,
     oml_from_projections,
     six_piece_decomposition,
+    six_piece_exhaustive,
     verify_oml,
 )
 from synalg.rng import XorShift64Star
@@ -331,24 +332,10 @@ def test_criterion_09_finite_oml():
     mo2 = mo_oml(2)
     ok = ok and verify_oml(mo2).passed
     ok = ok and not is_distributive(mo2)
-    count16 = 0
     for l in (boolean_oml(4), mo_oml(7)):
         assert len(l) == 16
-        m = len(l)
-        for p in range(m):
-            for q in range(m):
-                if not l.perp(p, q):
-                    continue
-                top = l.join(p, q)
-                for e in range(m):
-                    if not l.le(e, top):
-                        continue
-                    for f in range(m):
-                        if l.le(f, top) and l.perp(e, f) and l.join(e, f) == top:
-                            rep = six_piece_decomposition(l, p, q, e, f)
-                            ok = ok and rep.checks.passed
-                            count16 += 1
-    ok = ok and count16 > 0
+        passed, count16 = six_piece_exhaustive(l)
+        ok = ok and passed and count16 > 0
     rng = XorShift64Star(1009)
     sh3 = ModelShape((3,))
     crosschecks = 0
@@ -369,7 +356,7 @@ def test_criterion_09_finite_oml():
         if l3.join(idx[0], idx[1]) != l3.join(idx[2], idx[3]):
             continue
         rep = six_piece_decomposition(l3, idx[0], idx[1], idx[2], idx[3])
-        ok = ok and rep.checks.passed
+        ok = ok and rep.passed
         abstract_p1 = pool3[rep.p1]
         concrete_p1 = meet(p, ortho(meet(p, f)))
         ok = ok and dist(abstract_p1, concrete_p1) <= 1e-7

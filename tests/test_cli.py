@@ -190,6 +190,18 @@ def test_oml_subcommands(tmp_path, capsys):
         assert "usage error" in capsys.readouterr().err
 
 
+def test_oml_verify_checks_de_morgan_triples_above_64_elements(tmp_path, capsys):
+    code, out = run_cli(["oml", "gen", "boolean", "7"], capsys)
+    assert code == 0
+    path = tmp_path / "b7.oml"
+    path.write_text(out, encoding="ascii")
+    code, out = run_cli(["oml", "verify", path], capsys)
+    assert code == 0
+    assert "CHECK oml.de_morgan_triples 0.000e+00 0.0e+00 PASS" in out.splitlines()
+    assert "INFO elements 128 modular True distributive True" in out.splitlines()
+    assert main(["oml", "verify", "--cap", "64", str(path)]) == 2
+
+
 def test_determinism_subprocess():
     cmd = [sys.executable, "-m", "synalg", "verify", "--seed", "42",
            "--suites", "synalg,lattice", "--shape", "2,2", "--trials", "4"]
@@ -201,12 +213,16 @@ def test_determinism_subprocess():
 
 def test_missing_file_is_io_error(matdir, capsys):
     missing = matdir / "missing.mat"
+    binary = matdir / "bin.mat"
+    binary.write_bytes(b"\xff\xfe")
     for args in (["spectra", missing],
                  ["lattice", matdir / "e.mat", missing],
                  ["compare", matdir / "e.mat", missing],
                  ["equiv", missing, matdir / "f.mat"],
                  ["oml", "verify", matdir / "missing.oml"],
-                 ["oml", "report", matdir / "missing.oml", "a", "b"]):
+                 ["oml", "report", matdir / "missing.oml", "a", "b"],
+                 ["spectra", binary],
+                 ["oml", "verify", binary]):
         assert main([str(a) for a in args]) == 2, args
         captured = capsys.readouterr()
         assert captured.err.startswith("io error"), args

@@ -10,13 +10,8 @@ from synalg.oml import (
     ClosureExplosionError,
     FiniteOml,
     boolean_oml,
-    compat_preserved_check,
-    distributive_triple_check,
-    effect_algebra_check,
     format_oml,
-    interval_center_check,
     interval_common_complements,
-    interval_sasaki_check,
     is_distributive,
     is_modular,
     load_oml,
@@ -25,14 +20,16 @@ from synalg.oml import (
     oml_compatible,
     oml_from_projections,
     oml_interval,
+    oml_laws,
     oml_perspectivity,
     oml_sasaki,
-    parallelogram_check,
     _closure,
+    _compat_table,
+    _ortho_tables,
+    _sasaki_table,
     parse_oml,
-    relcompl_lift_check,
-    sasaki_props_report,
     six_piece_decomposition,
+    six_piece_exhaustive,
     verify_oml,
 )
 from synalg.core import PreconditionError
@@ -47,6 +44,10 @@ HEXAGON = (
     "leq a b\nleq c d\n"
     "ortho 0 1\northo a d\northo b c\n"
 )
+
+# bowtie: a and b have two minimal upper bounds, so no join exists
+BOWTIE = ("elem 0\nelem a\nelem b\nelem c\nelem d\nelem 1\nbottom 0\ntop 1\n"
+          "leq a c\nleq a d\nleq b c\nleq b d\northo 0 1\northo a d\northo b c\n")
 
 
 def test_boolean_generator():
@@ -89,6 +90,13 @@ def test_mo2_sasaki_and_perspectivity():
     assert oml_sasaki(mo2, a, a) == a
 
 
+def test_perspectivity_needs_a_lattice():
+    bowtie = parse_oml(BOWTIE)
+    for p, q in (("0", "1"), ("a", "b")):
+        with pytest.raises(PreconditionError):
+            oml_perspectivity(bowtie, bowtie.index(p), bowtie.index(q))
+
+
 def test_boolean_sasaki_is_meet():
     b = boolean_oml(3)
     for p in range(len(b)):
@@ -125,15 +133,7 @@ def test_compatibility_formula_matches_search():
 
 def test_theory_battery_on_fixtures():
     for l in (boolean_oml(3), mo_oml(2), mo_oml(3)):
-        assert sasaki_props_report(l).passed
-        assert relcompl_lift_check(l).passed
-        assert parallelogram_check(l).passed
-        assert effect_algebra_check(l).passed
-        assert compat_preserved_check(l).passed
-        assert distributive_triple_check(l).passed
-        assert interval_center_check(l).passed
-        for p in range(len(l)):
-            assert interval_sasaki_check(l, p).passed
+        assert all(oml_laws(l).values())
 
 
 def test_interval_is_own_oml():
@@ -162,33 +162,17 @@ def test_six_piece_identity_and_swap():
     p, q = b.index("a"), b.index("b")
     k = b.join(p, q)
     rep = six_piece_decomposition(b, p, q, p, q)
-    assert rep.checks.passed
+    assert rep.passed
     assert rep.p1 == p and rep.q2 == q
     rep = six_piece_decomposition(b, p, q, q, p)
-    assert rep.checks.passed
+    assert rep.passed
     with pytest.raises(PreconditionError):
         six_piece_decomposition(b, p, q, p, b.index("c"))
 
 
 def test_six_piece_exhaustive_16_element():
-    for l in (boolean_oml(4), mo_oml(7)):
-        assert len(l) == 16
-        m = len(l)
-        count = 0
-        for p in range(m):
-            for q in range(m):
-                if not l.perp(p, q):
-                    continue
-                top = l.join(p, q)
-                for e in range(m):
-                    if not l.le(e, top):
-                        continue
-                    for f in range(m):
-                        if l.le(f, top) and l.perp(e, f) and l.join(e, f) == top:
-                            rep = six_piece_decomposition(l, p, q, e, f)
-                            assert rep.checks.passed
-                            count += 1
-        assert count > 100
+    assert six_piece_exhaustive(boolean_oml(4)) == (True, 625)
+    assert six_piece_exhaustive(mo_oml(7)) == (True, 313)
 
 
 def test_file_roundtrip(tmp_path):
@@ -286,7 +270,7 @@ def _ref(l):
     return FiniteOml(l.names, l.leq, l.ortho, l.bottom, l.top, *_ref_bound_tables(l))
 
 
-def _ref_verify(l, demorgan_cap=64):
+def _ref_verify(l):
     acc = Accumulator(prefix="oml.")
     m = len(l)
     rng_all = range(m)
@@ -314,10 +298,9 @@ def _ref_verify(l, demorgan_cap=64):
     acc.check("de_morgan_pairs", all(l.oc(l.join(i, j)) == l.meet(l.oc(i), l.oc(j))
                                      and l.oc(l.meet(i, j)) == l.join(l.oc(i), l.oc(j))
                                      for i in rng_all for j in rng_all))
-    if m <= demorgan_cap:
-        acc.check("de_morgan_triples",
-                  all(l.oc(l.join(l.join(i, j), k)) == l.meet(l.meet(l.oc(i), l.oc(j)), l.oc(k))
-                      for i in rng_all for j in rng_all for k in rng_all))
+    acc.check("de_morgan_triples",
+              all(l.oc(l.join(l.join(i, j), k)) == l.meet(l.meet(l.oc(i), l.oc(j)), l.oc(k))
+                  for i in rng_all for j in rng_all for k in rng_all))
     return acc
 
 
@@ -332,6 +315,156 @@ def _ref_distributive_rows(l):
     m = len(l)
     return {p for p in range(m) for q in range(m) for r in range(m)
             if l.meet(p, l.join(q, r)) != l.join(l.meet(p, q), l.meet(p, r))}
+
+
+# -- scalar references for `oml_laws` and `six_piece_decomposition`: the
+# element loops the table predicates replaced, one bool per law
+
+
+def _ref_common_complements(l, p, q, top):
+    return [w for w in range(len(l))
+            if l.le(w, top)
+            and l.meet(p, w) == l.bottom and l.join(p, w) == top
+            and l.meet(q, w) == l.bottom and l.join(q, w) == top]
+
+
+def _ref_interval(l, p):
+    members = [i for i in range(len(l)) if l.le(i, p)]
+    pos = {g: i for i, g in enumerate(members)}
+    leq = l.leq[np.ix_(members, members)]
+    ortho = np.array([pos[l.meet(l.oc(g), p)] for g in members], dtype=int)
+    sub = FiniteOml(tuple(l.names[g] for g in members), leq, ortho, pos[l.bottom], pos[p])
+    return _ref(sub), members
+
+
+def _ref_center(l):
+    m = len(l)
+    return [c for c in range(m) if all(oml_compatible(l, c, x) for x in range(m))]
+
+
+def _ref_sasaki_props(l):
+    m = range(len(l))
+    s = lambda p, q: oml_sasaki(l, p, q)  # noqa: E731
+    return (all(l.perp(s(p, q), r) == l.perp(q, s(p, r)) for p in m for q in m for r in m)
+            and all(l.le(s(p, q), s(p, r)) for p in m for q in m for r in m if l.le(q, r))
+            and all(s(p, s(p, q)) == s(p, q) for p in m for q in m)
+            and all((s(p, q) == l.meet(p, q)) == oml_compatible(l, p, q)
+                    and l.le(s(p, q), q) == oml_compatible(l, p, q) for p in m for q in m)
+            and all((s(p, q) == l.bottom) == l.perp(p, q) for p in m for q in m)
+            and all(s(p, l.join(q, r)) == l.join(s(p, q), s(p, r))
+                    for p in m for q in m for r in m))
+
+
+def _ref_lift(l):
+    m = range(len(l))
+    for p in m:
+        for e in (e for e in m if l.le(e, p)):
+            for f in (f for f in m if l.le(f, p)):
+                ws = _ref_common_complements(l, e, f, p)
+                whole = _ref_common_complements(l, e, f, l.top) if ws else []
+                if not all(l.join(w, l.oc(p)) in whole for w in ws):
+                    return False
+    return True
+
+
+def _ref_parallelogram(l):
+    m = range(len(l))
+    return all(_ref_common_complements(l, a, b, l.join(a, b))
+               for a, b in ((oml_sasaki(l, p, q), oml_sasaki(l, q, p)) for p in m for q in m))
+
+
+def _ref_effect_algebra(l):
+    m = range(len(l))
+    return (all(l.perp(p, q) == l.perp(q, p) for p in m for q in m)
+            and all(any(l.perp(p, q) and l.join(p, q) == r for q in m) == l.le(p, r)
+                    for p in m for r in m))
+
+
+def _ref_compat_preserved(l):
+    m = range(len(l))
+    for r in m:
+        compat = [x for x in m if oml_compatible(l, x, r)]
+        if not all(oml_compatible(l, l.join(p, q), r) and oml_compatible(l, l.meet(p, q), r)
+                   for p in compat for q in compat):
+            return False
+    return True
+
+
+def _ref_triple_distributivity(l):
+    m = range(len(l))
+    return all(l.meet(l.join(p, q), r) == l.join(l.meet(p, r), l.meet(q, r))
+               and l.join(l.meet(p, q), r) == l.meet(l.join(p, r), l.join(q, r))
+               for p in m for q in m for r in m
+               if oml_compatible(l, r, p) and oml_compatible(l, r, q))
+
+
+def _ref_interval_center(l):
+    center = _ref_center(l)
+    ok = True
+    for p in range(len(l)):
+        sub, members = _ref_interval(l, p)
+        sub_center = {members[i] for i in _ref_center(sub)}
+        cuts = {l.meet(c, p) for c in center}
+        ok = ok and cuts <= sub_center and sub_center <= cuts
+    return ok
+
+
+def _ref_interval_sasaki(l):
+    for p in range(len(l)):
+        sub, members = _ref_interval(l, p)
+        if not _ref_verify(sub).passed:
+            return False
+        for qi in range(len(sub)):
+            for ri in range(len(sub)):
+                q, r = members[qi], members[ri]
+                if (members[oml_sasaki(sub, qi, ri)] != oml_sasaki(l, q, r)
+                        or members[oml_sasaki(sub, qi, sub.oc(ri))] != oml_sasaki(l, q, l.oc(r))):
+                    return False
+    return True
+
+
+_REF_LAWS = {
+    "sasaki_props": _ref_sasaki_props,
+    "lift": _ref_lift,
+    "parallelogram": _ref_parallelogram,
+    "effect_algebra": _ref_effect_algebra,
+    "compat_preserved": _ref_compat_preserved,
+    "triple_distributivity": _ref_triple_distributivity,
+    "interval_center": _ref_interval_center,
+    "interval_sasaki": _ref_interval_sasaki,
+}
+
+
+def _ref_six_piece(l, p, q, e, f):
+    """(passed, p1, q2) of one decomposition."""
+    p1 = l.meet(p, l.oc(l.meet(p, f)))
+    p2 = l.meet(p, f)
+    q1 = l.meet(q, e)
+    q2 = l.meet(q, l.oc(l.meet(q, e)))
+    e1 = l.meet(e, l.oc(l.meet(e, q)))
+    f2 = l.meet(f, l.oc(l.meet(f, p)))
+    w1s = _ref_common_complements(l, p1, e1, l.join(p1, e1))
+    w2s = _ref_common_complements(l, q2, f2, l.join(q2, f2))
+    pq1, pq2 = l.join(p1, q1), l.join(p2, q2)
+    pq1_e = _ref_common_complements(l, pq1, e, l.join(pq1, e))
+    passed = (bool(w1s) and bool(w2s)
+              and l.perp(p1, p2) and l.join(p1, p2) == p
+              and l.perp(q1, e1) and l.join(q1, e1) == e
+              and l.perp(p2, f2) and l.join(p2, f2) == f
+              and l.perp(q1, q2) and l.join(q1, q2) == q
+              and l.perp(p1, q1) and l.perp(p2, q2)
+              and bool(pq1_e)
+              and bool(_ref_common_complements(l, pq2, f, l.join(pq2, f)))
+              and any(v1 in pq1_e for v1 in w1s))
+    return passed, p1, q2
+
+
+def _ref_quadruples(l):
+    """Every (p, q, e, f) with p perp q, e perp f and p join q = e join f."""
+    m = range(len(l))
+    return [(p, q, e, f) for p in m for q in m if l.perp(p, q)
+            for e in m if l.le(e, l.join(p, q))
+            for f in m if l.le(f, l.join(p, q)) and l.perp(e, f) and l.join(e, f) == l.join(p, q)]
 
 
 def _random_poset(seed, m, cyclic=False):
@@ -350,9 +483,7 @@ def _oracle_inputs():
     yield from (boolean_oml(n) for n in range(1, 6))
     yield from (mo_oml(n) for n in range(1, 10))
     yield parse_oml(HEXAGON)
-    # bowtie: a and b have two minimal upper bounds, so no join exists
-    yield parse_oml("elem 0\nelem a\nelem b\nelem c\nelem d\nelem 1\nbottom 0\ntop 1\n"
-                    "leq a c\nleq a d\nleq b c\nleq b d\northo 0 1\northo a d\northo b c\n")
+    yield parse_oml(BOWTIE)
     # a <= b <= a: not antisymmetric, and several elements tie as bounds
     yield parse_oml("elem 0\nelem a\nelem b\nelem c\nelem 1\nbottom 0\ntop 1\n"
                     "leq a b\nleq b a\nleq c a\northo 0 1\northo a c\n")
@@ -372,9 +503,8 @@ def test_engine_matches_brute_force_reference():
         ref = _ref(l)
         meet_t, join_t = l._bound_tables()
         assert np.array_equal(meet_t, ref._meet) and np.array_equal(join_t, ref._join)
-        for cap in (64, 0):
-            got = [line.format() for line in verify_oml(l, cap).lines()]
-            assert got == [line.format() for line in _ref_verify(ref, cap).lines()]
+        got = [line.format() for line in verify_oml(l).lines()]
+        assert got == [line.format() for line in _ref_verify(ref).lines()]
         if np.all(ref._meet >= 0) and np.all(ref._join >= 0):
             lattices += 1
             assert is_modular(l) == (not _ref_modular_rows(ref))
@@ -385,6 +515,55 @@ def test_engine_matches_brute_force_reference():
             with pytest.raises(PreconditionError):
                 is_distributive(l)
     assert lattices >= 17
+
+
+def test_laws_match_scalar_reference():
+    compared = failing = 0
+    for l in _oracle_inputs():
+        ref = _ref(l)
+        try:
+            want = {law: check(ref) for law, check in _REF_LAWS.items()}
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                oml_laws(l)
+            continue
+        assert list(oml_laws(l).items()) == list(want.items())
+        compared += 1
+        failing += not all(want.values())
+    assert compared == 22 and failing >= 8
+
+
+def test_sasaki_and_compat_tables_match_scalar():
+    ortholattices = 0
+    for l in _oracle_inputs():
+        try:
+            M, J, o = _ortho_tables(l)
+        except PreconditionError:
+            continue
+        ortholattices += 1
+        ref, m = _ref(l), range(len(l))
+        assert np.array_equal(_sasaki_table(M, J, o), [[oml_sasaki(ref, p, q) for q in m] for p in m])
+        assert np.array_equal(_compat_table(M, J, o),
+                              [[oml_compatible(ref, p, q) for q in m] for p in m])
+    assert ortholattices == 22
+
+
+def test_six_piece_matches_scalar_reference():
+    total = failed = 0
+    for l in _oracle_inputs():
+        ref = _ref(l)
+        try:
+            quads = _ref_quadruples(ref)
+        except PreconditionError:
+            continue
+        want = np.array([_ref_six_piece(ref, *quad) for quad in quads])
+        rep = six_piece_decomposition(l, *np.array(quads).T)
+        assert np.array_equal(rep.passed, want[:, 0].astype(bool))
+        assert np.array_equal(rep.p1, want[:, 1]) and np.array_equal(rep.q2, want[:, 2])
+        assert six_piece_exhaustive(l) == (bool(np.all(want[:, 0])), len(quads))
+        total += len(quads)
+        failed += int(np.sum(~want[:, 0].astype(bool)))
+    assert (total, failed) == (49471, 43303)
 
 
 def _pentagon_on_chain(m, b_index):
