@@ -8,16 +8,12 @@ line-oriented: one `CHECK <name> <residual> <tol> PASS|FAIL` per check.
 Exit codes: 0 all checks pass, 1 any FAIL (or a violated construction
 precondition), 2 usage or I/O errors.  Identical invocations produce
 byte-identical output for a fixed seed.
-
-Flags can also be supplied through environment variables prefixed with
-SYNALG_ (SYNALG_SEED, SYNALG_TRIALS, SYNALG_SHAPE, SYNALG_SUITES).
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -98,21 +94,16 @@ def _parse_tol(pairs: list[str]) -> Tolerances:
     return tol
 
 
-def _env_default(name: str, fallback: str) -> str:
-    """A flag's default from SYNALG_<name>, as text for the flag's `type=` to convert."""
-    return os.environ.get(f"SYNALG_{name}", fallback)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="synalg", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run seeded property suites")
-    v.add_argument("--seed", type=int, default=_env_default("SEED", "42"))
-    v.add_argument("--trials", type=int, default=_env_default("TRIALS", "30"))
-    v.add_argument("--shape", type=_parse_shape, default=_env_default("SHAPE", "2,3"))
-    v.add_argument("--suites", default=_env_default("SUITES", "all"),
+    v.add_argument("--seed", type=int, default=42)
+    v.add_argument("--trials", type=int, default=30)
+    v.add_argument("--shape", type=_parse_shape, default="2,3")
+    v.add_argument("--suites", default="all",
                    help="comma list from: " + ",".join(SUITE_NAMES) + " (or 'all')")
     v.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
 
@@ -173,16 +164,17 @@ def cmd_verify(args) -> int:
     return _print_lines(run_suites(cfg))
 
 
-def _load(path, kind):
+def _read(reader, path, *args):
+    """reader(path, *args), naming the file when it cannot be read or decoded."""
     try:
-        return read_matrix(path, kind=kind)
-    except OSError as exc:
+        return reader(path, *args)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_all(paths, kinds) -> list:
     """Load each path as the kind of the same position; all shapes must agree."""
-    values = [_load(path, kind) for path, kind in zip(paths, kinds)]
+    values = [_read(read_matrix, path, kind) for path, kind in zip(paths, kinds)]
     if len({v.shape for v in values}) > 1:
         raise UsageError("input files have different shapes")
     return values
@@ -286,9 +278,9 @@ def _run_witness(tid: str, paths, prefix: str) -> int:
     matrices, residuals = w.build(*vals)
     for label, value in matrices.items():
         _print_matrix(label, value)
-    acc = Accumulator(prefix=prefix)
+    acc = Accumulator()
     for name, value in residuals.items():
-        acc.observe(name, value, w.tol)
+        acc.observe(prefix + name, value, w.tol)
     return _print_lines(acc.lines())
 
 
@@ -312,14 +304,14 @@ def cmd_witness(args) -> int:
 
 
 def cmd_spectra(args) -> int:
-    a = _load(args.file, "element")
+    a = _read(read_matrix, args.file, "element")
     sr = spectral_resolution(a)
     for lam, q in sr.jumps:
         print(f"JUMP {lam:.12g} rank {q.rank()}")
     print(f"LOWER {sr.lower:.12g}")
     print(f"UPPER {sr.upper:.12g}")
-    acc = Accumulator(prefix="spectra.")
-    acc.observe("reconstruction", dist(sr.reconstruct(), a), 1e-8)
+    acc = Accumulator()
+    acc.observe("spectra.reconstruction", dist(sr.reconstruct(), a), 1e-8)
     return _print_lines(acc.lines())
 
 
@@ -357,8 +349,8 @@ def cmd_equiv(args) -> int:
     print(f"VERDICT equivalent chain_length {len(w.chain)}")
     for i, s in enumerate(w.chain.syms):
         _print_matrix(f"s{i + 1}", s)
-    acc = Accumulator(prefix="equiv.")
-    acc.check("chain_validates", equivalent_check(w))
+    acc = Accumulator()
+    acc.check("equiv.chain_validates", equivalent_check(w))
     return _print_lines(acc.lines())
 
 
@@ -370,7 +362,7 @@ def cmd_oml(args) -> int:
             raise UsageError(exc) from exc
         sys.stdout.write(format_oml(l))
         return 0
-    l = load_oml(args.file)
+    l = _read(load_oml, args.file)
     if args.oml_command == "verify":
         acc = verify_oml(l)
         code = _print_lines(acc.lines())
@@ -411,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (OSError, ParseError, UnicodeDecodeError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except SynalgError as exc:

@@ -4,9 +4,10 @@ Two projections are equivalent when some finite composition of
 conjugations a -> s a s carries one onto the other.  In the block
 matrix model the relation is decided by blockwise rank, with explicit
 chain witnesses built from reflection factors.  On top of the relation
-sit relatedness, invariance (= centrality), central covers as suprema of
-conjugated subprojections, the orthogonal decomposition of an arbitrary
-pair, generalized comparability, and the relative center property.
+sit relatedness, the orthogonal decomposition of an arbitrary pair,
+generalized comparability, and the relative center property.  That
+invariance is centrality and that central covers are suprema of
+conjugated subprojections is checked in `suites`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     Element,
-    ModelShape,
     PreconditionError,
     Projection,
     Symmetry,
@@ -26,10 +26,8 @@ from .core import (
     as_projection,
     block_diag,
     block_frame,
-    carrier,
     commutes,
     dist,
-    eig_sym,
     opnorm,
     quad,
     span,
@@ -39,16 +37,11 @@ from .core import (
 from .lattice import (
     CentralProjection,
     IntervalModel,
-    center_elements,
     central_cover,
-    is_central,
-    join,
     meet,
     orthogonal,
     ortho,
 )
-from .report import Accumulator
-from .rng import XorShift64Star
 from .symmetry import (
     ExchangeWitness,
     exchange_efe_fef,
@@ -357,77 +350,3 @@ def _interval_spanning_set(p: Projection) -> list[Element]:
         out.append(quad(p, Element(p.shape, b)))
     return out
 
-
-def invariant_is_central_suite(seed: int, shape: ModelShape | None = None, trials: int = 30,
-                               tol: Tolerances = DEFAULT_TOL):
-    """Randomized checks that invariance coincides with centrality.
-
-    For central h: conjugates of subprojections of h stay below h, and a
-    zero meet with h forces orthogonality to h.  For non-central h a
-    counterexample to the meet condition is found by search.
-    """
-    shape = shape or ModelShape((2, 2))
-    rng = XorShift64Star(seed)
-    acc = Accumulator(prefix="invariant.")
-    for h in center_elements(shape):
-        for _ in range(trials):
-            s = rng.symmetry(shape)
-            p0 = rng.subprojection(h)
-            p = as_projection(quad(s, p0), tol=tol)
-            back = as_projection(quad(s, p), tol=tol)
-            acc.observe("conjugate_into_center_round_trip", dist(back, p0), tol.proj)
-            below = float(np.min((h - p).eigenvalues()))
-            acc.observe("conjugated_subprojection_stays_below", max(0.0, -below), tol.psd)
-            q = rng.projection(shape)
-            if meet(q, h, tol).rank() == 0:
-                acc.check("zero_meet_forces_orthogonal", orthogonal(q, h, tol))
-    found_all = True
-    for _ in range(trials):
-        h = rng.projection(shape)
-        if is_central(h, tol) or h.rank() == 0:
-            continue
-        found = False
-        for _ in range(100):
-            q = rng.projection(shape, rank=1)
-            if meet(q, h, tol).rank() == 0 and not orthogonal(q, h, tol):
-                found = True
-                break
-        found_all = found_all and found
-    acc.check("noncentral_counterexample_found", found_all)
-    return acc
-
-
-def gamma_as_subequivalence_sup(p: Projection, seed: int = 1, samples: int = 24,
-                                tol: Tolerances = DEFAULT_TOL):
-    """Check the central cover of p is the join of conjugated subprojections.
-
-    Samples symmetries, conjugates the eigen-subprojections of p, and
-    verifies every conjugate stays below the cover while their join
-    saturates it blockwise.
-    """
-    acc = Accumulator(prefix="cover_sup.")
-    shape = p.shape
-    gp = central_cover(p, tol)
-    subs: list[Projection] = []
-    w, v = eig_sym(p)
-    for i in range(len(w)):
-        if w[i] > 0.5:
-            subs.append(span(shape, v[:, [i]], tol))
-    if p.rank() > 0:
-        subs.append(p)
-    rng = XorShift64Star(seed)
-    syms = [rng.symmetry(shape) for _ in range(samples)]
-    acc.check("zero_cover_for_zero", (p.rank() == 0) == (gp.rank() == 0))
-    current = zero(shape)
-    for s in syms:
-        for q in subs:
-            c = quad(s, q)
-            below = float(np.min((gp - c).eigenvalues()))
-            acc.observe("conjugate_below_cover", max(0.0, -below), tol.psd)
-            current = current + c
-    if subs:
-        total = central_cover(current, tol)
-        joined = join(carrier(current, tol), gp, tol)
-        acc.check("join_saturates_cover", total.block_mask == gp.block_mask)
-        acc.observe("join_does_not_exceed_cover", dist(joined, gp), tol.proj)
-    return acc

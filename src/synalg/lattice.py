@@ -28,10 +28,7 @@ from .core import (
     quad,
     range_basis,
     span,
-    unit_projection,
 )
-from .report import Accumulator
-from .rng import XorShift64Star
 
 
 def ortho(p: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -213,52 +210,3 @@ class IntervalModel:
         self._require_member(r)
         return self.meet(q, self.join(self.ortho(q), r))
 
-
-def gamma_props_suite(seed: int, shape: ModelShape | None = None, trials: int = 40,
-                      tol: Tolerances = DEFAULT_TOL) -> Accumulator:
-    """Randomized verification of the central cover laws.
-
-    Checks, over random projections: idempotence and monotonicity of the
-    cover, the cover of a meet with a central cover, the orthogonality
-    transfers, finite join additivity, and that covers land in (and
-    exhaust) the center.  On tiny shapes the center is swept exhaustively.
-    """
-    shape = shape or ModelShape((2, 2))
-    rng = XorShift64Star(seed)
-    acc = Accumulator(prefix="gamma.")
-    one = unit_projection(shape)
-    zero_p = Projection(shape, np.zeros((shape.dim, shape.dim)))
-    acc.check("unit_cover_is_unit", central_cover(one, tol).block_mask == tuple([True] * shape.nblocks))
-    acc.check("zero_cover_is_zero", central_cover(zero_p, tol).block_mask == tuple([False] * shape.nblocks))
-    for c in center_elements(shape):
-        acc.observe("cover_fixes_center", dist(central_cover(c, tol), c), tol.proj)
-    for _ in range(trials):
-        p = rng.projection(shape)
-        q = rng.projection(shape)
-        gp = central_cover(p, tol)
-        gq = central_cover(q, tol)
-        acc.check("cover_is_central", is_central(gp, tol))
-        acc.check("cover_nonzero_iff", (p.rank() == 0) == (gp.rank() == 0))
-        acc.observe("cover_idempotent", dist(central_cover(gp, tol), gp), tol.proj)
-        sub = rng.subprojection(q)
-        mono = all(not a or b for a, b in
-                   zip(central_cover(sub, tol).block_mask, gq.block_mask))
-        acc.check("cover_monotone", mono)
-        lhs = central_cover(meet(p, gq, tol), tol)
-        rhs = CentralProjection.from_mask(shape, [a and b for a, b in zip(gp.block_mask, gq.block_mask)])
-        acc.observe("cover_of_meet_with_cover", dist(lhs, rhs), tol.proj)
-        o1 = orthogonal(gp, q, tol)
-        o2 = orthogonal(gp, gq, tol)
-        o3 = orthogonal(p, gq, tol)
-        acc.check("orthogonality_transfer", o1 == o2 == o3)
-        if o1:
-            acc.check("orthogonality_descends", orthogonal(p, q, tol))
-        fam = [rng.projection(shape) for _ in range(3)]
-        big = join(join(fam[0], fam[1], tol), fam[2], tol)
-        mask = [False] * shape.nblocks
-        for f in fam:
-            mask = [m or b for m, b in zip(mask, central_cover(f, tol).block_mask)]
-        acc.observe("cover_join_additive",
-                    dist(central_cover(big, tol), CentralProjection.from_mask(shape, mask)),
-                    tol.proj)
-    return acc

@@ -208,37 +208,37 @@ def format_oml(l: FiniteOml) -> str:
 def verify_oml(l: FiniteOml) -> Accumulator:
     """Full axiom battery: order, bounds, lattice totality, complement
     laws, orthomodularity, and De Morgan duality for pairs and triples."""
-    acc = Accumulator(prefix="oml.")
+    acc = Accumulator()
     m = len(l)
     leq, o, ar = l.leq, l.ortho, np.arange(m)
     anti = not np.any(leq & leq.T & ~np.eye(m, dtype=bool))
-    acc.check("order_antisymmetric", anti)
-    acc.check("order_reflexive", bool(np.all(np.diag(leq))))
+    acc.check("oml.order_antisymmetric", anti)
+    acc.check("oml.order_reflexive", bool(np.all(np.diag(leq))))
     trans = np.array_equal(leq, _closure(leq))
-    acc.check("order_transitive", trans)
-    acc.check("bounded", bool(np.all(leq[l.bottom, :]) and np.all(leq[:, l.top])))
+    acc.check("oml.order_transitive", trans)
+    acc.check("oml.bounded", bool(np.all(leq[l.bottom, :]) and np.all(leq[:, l.top])))
     if not anti:
         return acc
     meet_t, join_t = l._bound_tables()
-    acc.check("all_meets_exist", bool(np.all(meet_t >= 0)))
-    acc.check("all_joins_exist", bool(np.all(join_t >= 0)))
+    acc.check("oml.all_meets_exist", bool(np.all(meet_t >= 0)))
+    acc.check("oml.all_joins_exist", bool(np.all(join_t >= 0)))
     ortho_total = bool(np.all(o >= 0))
-    acc.check("ortho_total", ortho_total)
+    acc.check("oml.ortho_total", ortho_total)
     if not (ortho_total and np.all(meet_t >= 0) and np.all(join_t >= 0)):
         return acc
-    acc.check("ortho_involutive", bool(np.all(o[o] == ar)))
-    acc.check("ortho_order_reversing", bool(np.all(~leq | leq[np.ix_(o, o)].T)))
-    acc.check("ortho_complement_law",
+    acc.check("oml.ortho_involutive", bool(np.all(o[o] == ar)))
+    acc.check("oml.ortho_order_reversing", bool(np.all(~leq | leq[np.ix_(o, o)].T)))
+    acc.check("oml.ortho_complement_law",
               bool(np.all(meet_t[ar, o] == l.bottom) and np.all(join_t[ar, o] == l.top)))
     meet_xo = meet_t[:, o]  # meet_xo[x, k] = x meet ortho(k)
     # orthomodular law: i <= j implies i join (j meet ortho(i)) == j
     om = np.all(~leq | (join_t[ar[:, None], meet_xo.T] == ar))
-    acc.check("orthomodular_law", bool(om))
+    acc.check("oml.orthomodular_law", bool(om))
     meet_oo, join_oo = meet_t[np.ix_(o, o)], join_t[np.ix_(o, o)]
     dm = np.all(o[join_t] == meet_oo) and np.all(o[meet_t] == join_oo)
-    acc.check("de_morgan_pairs", bool(dm))
+    acc.check("oml.de_morgan_pairs", bool(dm))
     dm3 = all(np.array_equal(o[join_t[join_t[s]]], meet_xo[meet_oo[s]]) for s in _chunks(m))
-    acc.check("de_morgan_triples", dm3)
+    acc.check("oml.de_morgan_triples", dm3)
     return acc
 
 

@@ -25,34 +25,26 @@ class ReportLine:
 class Accumulator:
     """Collects worst-case residuals per check name across trials."""
 
-    def __init__(self, prefix: str = ""):
-        self.prefix = prefix
-        self._worst: dict[str, tuple[float, float]] = {}
-        self._order: list[str] = []
+    def __init__(self):
+        self._worst: dict[str, tuple[float, float]] = {}  # insertion order is report order
 
     def observe(self, name: str, residual: float, tolerance: float) -> None:
-        key = f"{self.prefix}{name}" if self.prefix else name
         residual = float(residual)
         if residual != residual:  # NaN never passes
             residual = float("inf")
-        if key not in self._worst:
-            self._order.append(key)
-            self._worst[key] = (residual, float(tolerance))
+        if name not in self._worst:
+            self._worst[name] = (residual, float(tolerance))
         else:
-            old_res, old_tol = self._worst[key]
-            self._worst[key] = (max(old_res, residual), min(old_tol, float(tolerance)))
+            old_res, old_tol = self._worst[name]
+            self._worst[name] = (max(old_res, residual), min(old_tol, float(tolerance)))
 
     def check(self, name: str, ok: bool) -> None:
         """Boolean check recorded as residual 0/1 against tolerance 0."""
         self.observe(name, 0.0 if ok else 1.0, 0.0)
 
     def lines(self) -> list[ReportLine]:
-        return [ReportLine(k, *self._worst[k]) for k in self._order]
+        return [ReportLine(k, *v) for k, v in self._worst.items()]
 
     @property
     def passed(self) -> bool:
         return all(line.passed for line in self.lines())
-
-    def extend(self, other: "Accumulator") -> None:
-        for line in other.lines():
-            self.observe(line.name, line.residual, line.tolerance)

@@ -22,9 +22,7 @@ from synalg.equivalence import (
     apply_chain,
     equal_rank_chain,
     equivalent_check,
-    gamma_as_subequivalence_sup,
     generalized_comparability,
-    invariant_is_central_suite,
     key_subprojection_exchange,
     orthogonal_decomposition,
     related,
@@ -37,7 +35,9 @@ from synalg.lattice import (
     meet,
     orthogonal,
 )
+from synalg.report import Accumulator
 from synalg.rng import XorShift64Star
+from synalg.suites import cover_sup_checks, invariant_checks
 
 SH22 = ModelShape((2, 2))
 SH23 = ModelShape((2, 3))
@@ -266,11 +266,15 @@ def test_relative_center_witness():
 
 
 def test_invariant_suite_and_cover_sup():
-    assert invariant_is_central_suite(7, SH22, trials=10).passed
+    acc = Accumulator()
+    invariant_checks(acc, XorShift64Star(7), SH22, 10, DEFAULT_TOL)
+    assert acc.passed
     rng = XorShift64Star(60)
     for _ in range(5):
         p = rng.projection(SH22)
-        assert gamma_as_subequivalence_sup(p, seed=rng.next_u64()).passed
+        acc = Accumulator()
+        cover_sup_checks(acc, p, XorShift64Star(rng.next_u64()), DEFAULT_TOL)
+        assert acc.passed
 
 
 def test_unrelated_iff_cover_orthogonal():

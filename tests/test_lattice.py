@@ -20,6 +20,7 @@ from synalg import (
     unit,
     zero,
 )
+from synalg.core import DEFAULT_TOL
 from synalg.lattice import (
     CentralProjection,
     IntervalModel,
@@ -29,7 +30,6 @@ from synalg.lattice import (
     centrally_orthogonal,
     co_join,
     compatible,
-    gamma_props_suite,
     is_central,
     join,
     meet,
@@ -37,7 +37,9 @@ from synalg.lattice import (
     ortho,
     sasaki,
 )
+from synalg.report import Accumulator
 from synalg.rng import XorShift64Star
+from synalg.suites import gamma_checks
 
 SH2 = ModelShape((2,))
 E = Projection(SH2, [[1.0, 0.0], [0.0, 0.0]])
@@ -171,9 +173,11 @@ def test_central_cover():
 
 
 def test_gamma_props_suite_passes():
-    acc = gamma_props_suite(3, ModelShape((2, 2)), trials=25)
+    acc = Accumulator()
+    gamma_checks(acc, XorShift64Star(3), ModelShape((2, 2)), 25, DEFAULT_TOL)
     assert acc.passed
-    tiny = gamma_props_suite(4, ModelShape((1, 1)), trials=10)
+    tiny = Accumulator()
+    gamma_checks(tiny, XorShift64Star(4), ModelShape((1, 1)), 10, DEFAULT_TOL)
     assert tiny.passed
 
 

@@ -271,34 +271,34 @@ def _ref(l):
 
 
 def _ref_verify(l):
-    acc = Accumulator(prefix="oml.")
+    acc = Accumulator()
     m = len(l)
     rng_all = range(m)
     anti = all(not (l.leq[i, j] and l.leq[j, i]) for i in rng_all for j in rng_all if i != j)
-    acc.check("order_antisymmetric", anti)
-    acc.check("order_reflexive", bool(np.all(np.diag(l.leq))))
-    acc.check("order_transitive", np.array_equal(l.leq, _closure(l.leq)))
-    acc.check("bounded", all(l.leq[l.bottom, i] and l.leq[i, l.top] for i in rng_all))
+    acc.check("oml.order_antisymmetric", anti)
+    acc.check("oml.order_reflexive", bool(np.all(np.diag(l.leq))))
+    acc.check("oml.order_transitive", np.array_equal(l.leq, _closure(l.leq)))
+    acc.check("oml.bounded", all(l.leq[l.bottom, i] and l.leq[i, l.top] for i in rng_all))
     if not anti:
         return acc
     meet_t, join_t = l._meet, l._join
-    acc.check("all_meets_exist", bool(np.all(meet_t >= 0)))
-    acc.check("all_joins_exist", bool(np.all(join_t >= 0)))
+    acc.check("oml.all_meets_exist", bool(np.all(meet_t >= 0)))
+    acc.check("oml.all_joins_exist", bool(np.all(join_t >= 0)))
     ortho_total = bool(np.all(l.ortho >= 0))
-    acc.check("ortho_total", ortho_total)
+    acc.check("oml.ortho_total", ortho_total)
     if not (ortho_total and np.all(meet_t >= 0) and np.all(join_t >= 0)):
         return acc
-    acc.check("ortho_involutive", all(l.oc(l.oc(i)) == i for i in rng_all))
-    acc.check("ortho_order_reversing",
+    acc.check("oml.ortho_involutive", all(l.oc(l.oc(i)) == i for i in rng_all))
+    acc.check("oml.ortho_order_reversing",
               all(l.le(l.oc(j), l.oc(i)) for i in rng_all for j in rng_all if l.le(i, j)))
-    acc.check("ortho_complement_law",
+    acc.check("oml.ortho_complement_law",
               all(l.meet(i, l.oc(i)) == l.bottom and l.join(i, l.oc(i)) == l.top for i in rng_all))
-    acc.check("orthomodular_law", all(l.join(i, l.meet(j, l.oc(i))) == j
-                                      for i in rng_all for j in rng_all if l.le(i, j)))
-    acc.check("de_morgan_pairs", all(l.oc(l.join(i, j)) == l.meet(l.oc(i), l.oc(j))
-                                     and l.oc(l.meet(i, j)) == l.join(l.oc(i), l.oc(j))
-                                     for i in rng_all for j in rng_all))
-    acc.check("de_morgan_triples",
+    acc.check("oml.orthomodular_law", all(l.join(i, l.meet(j, l.oc(i))) == j
+                                          for i in rng_all for j in rng_all if l.le(i, j)))
+    acc.check("oml.de_morgan_pairs", all(l.oc(l.join(i, j)) == l.meet(l.oc(i), l.oc(j))
+                                         and l.oc(l.meet(i, j)) == l.join(l.oc(i), l.oc(j))
+                                         for i in rng_all for j in rng_all))
+    acc.check("oml.de_morgan_triples",
               all(l.oc(l.join(l.join(i, j), k)) == l.meet(l.meet(l.oc(i), l.oc(j)), l.oc(k))
                   for i in rng_all for j in rng_all for k in rng_all))
     return acc
