@@ -11,6 +11,12 @@ appear inside witness constructions.
 All values are immutable after construction and all operations are pure,
 so concurrent evaluation over independent inputs is safe.
 
+Stacks.  A value's data may carry one leading batch axis, (m, n, n): a
+stack of m members of one shape (`stack`; `x[i]` and `x[idx]` take a member
+or a substack).  Operations broadcast over it, one LAPACK call per block
+for the stack, and member i of a result equals the operation on member i
+bit for bit.  Scalar results (norms, ranks, order tests) become arrays.
+
 Validation.  The public constructors (`EnvelopingElement(...)`,
 `Element(...)`, `Projection(...)`, `Symmetry(...)`), which take matrices
 from files, the CLI and callers, check everything: the n x n size, finite
@@ -149,8 +155,19 @@ def _check_finite(data: np.ndarray) -> None:
 
 
 def _check_block_zeros(shape: ModelShape, data: np.ndarray) -> None:
-    if np.any(data[_offblock_mask(shape)] != 0.0):
+    if (data[..., _offblock_mask(shape)] != 0.0).any():
         raise ValueError("entries outside the diagonal blocks must be exactly zero")
+
+
+def _t(x: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (of each member of a stack)."""
+    return x.swapaxes(-1, -2) if x.ndim > 1 else x
+
+
+def _out(x):
+    """A 0-d result as a Python scalar; a stacked result stays an array."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 def opnorm(x: np.ndarray) -> float:
@@ -158,17 +175,23 @@ def opnorm(x: np.ndarray) -> float:
 
     The largest singular value from the same LAPACK call that
     `np.linalg.norm(x, 2)` makes, without its axis handling; the result
-    is bit-identical.
+    is bit-identical.  Per member for a stack.
     """
     if x.size == 0:
         return 0.0
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+    return _out(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
-def _fro(x: np.ndarray) -> float:
-    """Frobenius norm; upper bound on the spectral norm, cheap for
-    constructor validation."""
-    return float(np.sqrt((x * x).sum()))
+def _fro(x: np.ndarray) -> np.ndarray:
+    """Frobenius norm (per member); upper bound on the spectral norm,
+    cheap for constructor validation."""
+    return np.sqrt((x * x).sum(axis=(-2, -1)))
+
+
+def _raise_over(res: np.ndarray, bound: float, exc: type, message: str) -> None:
+    """Raise exc(message % r) for the first member whose residual r exceeds bound."""
+    if (over := np.ravel(res > bound)).any():
+        raise exc(message % np.ravel(res)[over][0])
 
 
 class EnvelopingElement:
@@ -184,7 +207,7 @@ class EnvelopingElement:
     def __init__(self, shape: ModelShape, data: np.ndarray):
         arr = np.array(data, dtype=float)
         n = shape.dim
-        if arr.shape != (n, n):
+        if arr.shape[-2:] != (n, n) or arr.ndim > 3:
             raise ValueError(f"expected a {n}x{n} matrix, got {arr.shape}")
         _check_finite(arr)
         _check_block_zeros(shape, arr)
@@ -203,6 +226,20 @@ class EnvelopingElement:
         out = object.__new__(cls)
         out._wrap(shape, arr)
         out._drift(tol)
+        return out
+
+    @classmethod
+    def _raw(cls, shape: ModelShape, arr: np.ndarray):
+        """Wrap already validated data (a stack's member or substack) unchecked."""
+        out = object.__new__(cls)
+        out._wrap(shape, arr)
+        return out
+
+    def __getitem__(self, i):
+        """Member i of a stack, or the substack at an index array."""
+        out = self._raw(self.shape, self.data[i])
+        if self._beig is not None:
+            object.__setattr__(out, "_beig", [(w[i], v[i]) for w, v in self._beig])
         return out
 
     def _wrap(self, shape: ModelShape, arr: np.ndarray) -> None:
@@ -253,14 +290,14 @@ class EnvelopingElement:
 
     @property
     def T(self) -> "EnvelopingElement":
-        return EnvelopingElement._built(self.shape, self.data.T)
+        return EnvelopingElement._built(self.shape, _t(self.data))
 
     def norm(self) -> float:
         return opnorm(self.data)
 
     def block(self, i: int) -> np.ndarray:
         s = self.shape.slices()[i]
-        return self.data[s, s]
+        return self.data[..., s, s]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape=({self.shape}), n={self.shape.dim})"
@@ -273,17 +310,18 @@ class Element(EnvelopingElement):
 
     def __init__(self, shape: ModelShape, data: np.ndarray, *, tol: Tolerances = DEFAULT_TOL):
         arr = np.asarray(data, dtype=float)
-        gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if gap > tol.sym:
-            raise ValueError(f"matrix is not symmetric: asymmetry {gap:.3e} > {tol.sym:.1e}")
-        super().__init__(shape, 0.5 * (arr + arr.T))
+        if arr.ndim > 1 and arr.size:
+            _raise_over(np.abs(arr - _t(arr)).max(axis=(-2, -1)), tol.sym, ValueError,
+                        f"matrix is not symmetric: asymmetry %.3e > {tol.sym:.1e}")
+        super().__init__(shape, 0.5 * (arr + _t(arr)))
 
     # -- spectral data ------------------------------------------------
     def block_eig(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-block eigendecompositions (ascending eigenvalues), cached.
 
         Working blockwise keeps every derived matrix exactly
-        block-diagonal even when eigenvalues repeat across blocks.
+        block-diagonal even when eigenvalues repeat across blocks.  One
+        `eigh` call per block covers a whole stack.
         """
         cached = self._beig
         if cached is None:
@@ -295,7 +333,7 @@ class Element(EnvelopingElement):
         return cached
 
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate([w for w, _ in self.block_eig()]))
+        return np.sort(np.concatenate([w for w, _ in self.block_eig()], axis=-1), axis=-1)
 
     def __abs__(self) -> "Element":
         return absolute(self)
@@ -316,12 +354,11 @@ class Projection(Element):
         self._drift(tol)
 
     def _drift(self, tol: Tolerances) -> None:
-        res = _fro(self.data @ self.data - self.data)
-        if res > tol.proj:
-            raise DriftError(f"not a projection: |p^2 - p| = {res:.3e}")
+        _raise_over(_fro(self.data @ self.data - self.data), tol.proj, DriftError,
+                    "not a projection: |p^2 - p| = %.3e")
 
     def rank(self) -> int:
-        return int(round(float(np.trace(self.data))))
+        return _out(np.rint(self.data.trace(axis1=-2, axis2=-1)).astype(int))
 
     def block_ranks(self) -> tuple[int, ...]:
         return tuple(int(round(float(np.trace(self.block(i))))) for i in range(self.shape.nblocks))
@@ -337,9 +374,8 @@ class Symmetry(Element):
         self._drift(tol)
 
     def _drift(self, tol: Tolerances) -> None:
-        res = _fro(self.data @ self.data - np.eye(self.shape.dim))
-        if res > tol.proj:
-            raise DriftError(f"not a symmetry: |s^2 - 1| = {res:.3e}")
+        _raise_over(_fro(self.data @ self.data - np.eye(self.shape.dim)), tol.proj, DriftError,
+                    "not a symmetry: |s^2 - 1| = %.3e")
 
 
 # -- constructors ------------------------------------------------------
@@ -353,7 +389,13 @@ def unit(shape: ModelShape) -> Symmetry:
 
 
 def scalar(shape: ModelShape, lam: float) -> Element:
-    return Element._built(shape, float(lam) * np.eye(shape.dim))
+    """lam times the unit; a stack for an array of lam."""
+    return Element._built(shape, np.multiply.outer(lam, np.eye(shape.dim)))
+
+
+def stack(xs):
+    """One stacked value of the same-class, same-shape values xs, in order."""
+    return xs[0]._raw(xs[0].shape, np.stack([x.data for x in xs]))
 
 
 def unit_projection(shape: ModelShape) -> Projection:
@@ -375,10 +417,11 @@ def proj_from_sym(s: Symmetry, tol: Tolerances = DEFAULT_TOL) -> Projection:
 
 
 def block_diag(shape: ModelShape, blocks) -> np.ndarray:
-    """Dense n x n matrix with the given square blocks on the diagonal."""
-    out = np.zeros((shape.dim, shape.dim))
+    """Dense n x n matrix (a stack for stacked blocks) with the given square
+    blocks on the diagonal."""
+    out = np.zeros(blocks[0].shape[:-2] + (shape.dim, shape.dim))
     for blk, s in zip(blocks, shape.slices()):
-        out[s, s] = blk
+        out[..., s, s] = blk
     return out
 
 
@@ -390,14 +433,16 @@ def block_frame(a: Element) -> tuple[np.ndarray, np.ndarray]:
     order, so the frame is itself block-diagonal.
     """
     beig = a.block_eig()
-    return np.concatenate([w for w, _ in beig]), block_diag(a.shape, [v for _, v in beig])
+    return np.concatenate([w for w, _ in beig], axis=-1), block_diag(a.shape, [v for _, v in beig])
 
 
 def range_basis(p: Projection, inside: bool = True) -> np.ndarray:
     """Orthonormal columns spanning range(p), or range(1 - p) when not
-    inside, grouped by block."""
+    inside, grouped by block.  The members of a stack must share their
+    block ranks (the columns are chosen by the first member)."""
     w, frame = block_frame(p)
-    return frame[:, (w > 0.5) == inside]
+    keep = (w > 0.5) == inside
+    return frame[..., keep if keep.ndim == 1 else keep[0]]
 
 
 def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
@@ -407,19 +452,31 @@ def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     tol.rank (floored at tol.zero).  Given orthonormal columns `onto`, the
     columns are projected onto range(onto) and the SVD runs in its
     coordinates, so the span stays in that range however small its values.
+
+    Stacked columns must share one layout (the same columns nonzero in each
+    block, as `lattice` groups them): a zero column changes the SVD's last
+    bits.  Members are grouped by kept rank, so each block is u u^T of the
+    kept columns alone, with operands in the memory order one matrix has.
     """
     cut = max(tol.rank, tol.zero)
-    out = np.zeros((shape.dim, shape.dim))
+    flat = cols.ndim == 2
+    if flat:
+        cols, onto = cols[None], None if onto is None else onto[None]
+    out = np.zeros((len(cols), shape.dim, shape.dim))
     for s in shape.slices():
-        m = cols[s] if onto is None else onto[s].T @ cols[s]
+        m = cols[:, s] if onto is None else _t(onto[:, s]) @ cols[:, s]
         if m.any():
             u, sv, _ = np.linalg.svd(m, full_matrices=False)
-            u = u[:, sv > cut]
-            if onto is not None:
-                u = onto[s] @ u
-            blk = u @ u.T
-            out[s, s] = 0.5 * (blk + blk.T)
-    return Projection._built(shape, out, tol)
+            keep = sv > cut
+            kept = None if flat else keep.sum(-1)
+            ranks = () if flat else set(kept.tolist())
+            for at in [kept == r for r in ranks] if len(ranks) > 1 else [slice(None)]:
+                ur = u[at][..., keep[at][0]]
+                if onto is not None:
+                    ur = onto[at][:, s] @ ur
+                blk = ur @ _t(ur)
+                out[at, s, s] = 0.5 * (blk + _t(blk))
+    return Projection._built(shape, out[0] if flat else out, tol)
 
 
 def dist(x: EnvelopingElement, y: EnvelopingElement) -> float:
@@ -436,7 +493,7 @@ def jordan(a: Element, b: Element) -> Element:
     if a.shape != b.shape:
         raise ShapeMismatchError("jordan: operands have different shapes")
     ab = a.data @ b.data
-    return Element._built(a.shape, 0.5 * (ab + ab.T))
+    return Element._built(a.shape, 0.5 * (ab + _t(ab)))
 
 
 def quad(a: Element, b: Element) -> Element:
@@ -449,20 +506,20 @@ def quad(a: Element, b: Element) -> Element:
 def leq(a: Element, b: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Order relation: b - a is positive semidefinite up to tol.psd."""
     d = b - a
-    return bool(float(np.min(d.eigenvalues())) >= -tol.psd)
+    return _out(d.eigenvalues().min(axis=-1) >= -tol.psd)
 
 
 def order_unit_norm(a: Element) -> float:
     """Largest absolute eigenvalue; the order-unit norm of the model."""
     w = a.eigenvalues()
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return _out(np.abs(w).max(axis=-1)) if w.size else 0.0
 
 
 def commutes(a: EnvelopingElement, b: EnvelopingElement, tol: Tolerances = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         raise ShapeMismatchError("commutes: operands have different shapes")
     res = opnorm(a.data @ b.data - b.data @ a.data)
-    return bool(res <= tol.comm * (opnorm(a.data) * opnorm(b.data) + 1.0))
+    return _out(res <= tol.comm * (opnorm(a.data) * opnorm(b.data) + 1.0))
 
 
 def symmetrize_sum(x: EnvelopingElement, y: EnvelopingElement, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -475,7 +532,7 @@ def symmetrize_sum(x: EnvelopingElement, y: EnvelopingElement, tol: Tolerances =
     if x.shape != y.shape:
         raise ShapeMismatchError("symmetrize_sum: operands have different shapes")
     s = x.data + y.data
-    gap = float(np.max(np.abs(s - s.T))) if s.size else 0.0
+    gap = float(np.max(np.abs(s - _t(s)))) if s.size else 0.0
     if gap > tol.sym:
         raise PreconditionError(f"x + y is not symmetric (asymmetry {gap:.3e})")
     return Element(x.shape, s, tol=tol)
@@ -490,38 +547,69 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
     block-diagonal even for eigenvalues repeated across blocks.
     """
     vals, vecs = block_frame(a)
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    order = np.argsort(vals, axis=-1, kind="stable")
+    if vals.ndim == 1:
+        return vals[order], vecs[:, order]
+    rows = np.arange(len(vals))[:, None]
+    # indexed as [member, column, row]: column-major members, as vecs[:, order] is
+    return vals[rows, order], vecs[rows, :, order].swapaxes(-1, -2)
+
+
+def _on_spectrum(fn, w: np.ndarray) -> np.ndarray:
+    """fn(w) for an array function, else fn of each eigenvalue in turn."""
+    try:
+        fw = fn(w)
+        if np.shape(fw) == w.shape:
+            return fw
+    except (TypeError, ValueError):
+        pass
+    return np.array([fn(x) for x in w.ravel()], dtype=float).reshape(w.shape)
 
 
 def spectral_map(a: Element, fn, cls=Element, tol: Tolerances = DEFAULT_TOL):
-    """Apply a real function to the spectrum of a, blockwise."""
+    """Apply a real function to the spectrum of a, blockwise.
+
+    fn maps an array of eigenvalues to an array of the same shape; a
+    function of one number is applied to each eigenvalue instead.  Write
+    max(x, 0) as np.where(x < 0.0, 0.0, x): np.maximum turns -0.0 into
+    +0.0, and the sign of a zero can reach a printed matrix.
+    """
     blocks = []
     for w, v in a.block_eig():
-        fw = np.asarray([fn(x) for x in w], dtype=float)
-        blk = (v * fw) @ v.T
-        blocks.append(0.5 * (blk + blk.T))
+        blk = (v * _on_spectrum(fn, w)[..., None, :]) @ _t(v)
+        blocks.append(0.5 * (blk + _t(blk)))
     return cls._built(a.shape, block_diag(a.shape, blocks), tol)
+
+
+def _clip(w: np.ndarray) -> np.ndarray:
+    """max(w, 0) entrywise, keeping -0.0 as Python's max does."""
+    return np.where(w < 0.0, 0.0, w)
 
 
 def sqrt_pos(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Square root of a positive element."""
-    if not leq(zero(a.shape), a, tol):
+    if not np.all(leq(zero(a.shape), a, tol)):
         raise PreconditionError("sqrt_pos: element is not positive")
-    return spectral_map(a, lambda x: math.sqrt(max(x, 0.0)), tol=tol)
+    return spectral_map(a, lambda w: np.sqrt(_clip(w)), tol=tol)
 
 
 def absolute(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """|a|, the positive element with |a|^2 = a^2."""
-    return spectral_map(a, abs, tol=tol)
+    return spectral_map(a, np.abs, tol=tol)
 
 
 def pos_part(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
-    return spectral_map(a, lambda x: max(x, 0.0), tol=tol)
+    return spectral_map(a, _clip, tol=tol)
 
 
 def neg_part(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
-    return spectral_map(a, lambda x: max(-x, 0.0), tol=tol)
+    return spectral_map(a, lambda w: _clip(-w), tol=tol)
+
+
+def _cut(a: Element, tol: Tolerances) -> np.ndarray:
+    """Support cut tol.rank relative to the norm of a, floored at tol.zero,
+    shaped to broadcast over a's eigenvalues."""
+    return np.maximum(tol.rank * np.abs(a.eigenvalues()).max(axis=-1, keepdims=True), tol.zero)
 
 
 def carrier(a: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -530,8 +618,8 @@ def carrier(a: Element, tol: Tolerances = DEFAULT_TOL) -> Projection:
     Spectrally, the sum of eigenprojections for eigenvalues larger than
     tol.rank relative to the spectral norm of a.
     """
-    cut = max(tol.rank * order_unit_norm(a), tol.zero)
-    return spectral_map(a, lambda x: 1.0 if abs(x) > cut else 0.0, cls=Projection, tol=tol)
+    cut = _cut(a, tol)
+    return spectral_map(a, lambda w: np.where(np.abs(w) > cut, 1.0, 0.0), cls=Projection, tol=tol)
 
 
 def signum(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -539,15 +627,15 @@ def signum(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
 
     Together with |a| it gives the polar decomposition a = signum(a)|a|.
     """
-    cut = max(tol.rank * order_unit_norm(a), tol.zero)
-    return spectral_map(a, lambda x: math.copysign(1.0, x) if abs(x) > cut else 0.0, tol=tol)
+    cut = _cut(a, tol)
+    return spectral_map(a, lambda w: np.where(np.abs(w) > cut, np.copysign(1.0, w), 0.0), tol=tol)
 
 
 def inverse(a: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     w = a.eigenvalues()
     if w.size == 0 or float(np.min(np.abs(w))) <= tol.inv:
         raise NotInvertibleError("inverse: spectrum touches zero")
-    return spectral_map(a, lambda x: 1.0 / x, tol=tol)
+    return spectral_map(a, lambda w: 1.0 / w, tol=tol)
 
 
 def as_projection(a: Element, *, tol: Tolerances = DEFAULT_TOL) -> Projection:
@@ -557,12 +645,12 @@ def as_projection(a: Element, *, tol: Tolerances = DEFAULT_TOL) -> Projection:
     numerical drift does not accumulate across meets, joins and
     conjugations.
     """
-    return spectral_map(a, lambda x: 1.0 if x >= 0.5 else 0.0, cls=Projection, tol=tol)
+    return spectral_map(a, lambda w: np.where(w >= 0.5, 1.0, 0.0), cls=Projection, tol=tol)
 
 
 def as_symmetry(a: Element, *, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """The symmetry that snaps the eigenvalues of a to +-1 at 0."""
-    return spectral_map(a, lambda x: 1.0 if x >= 0.0 else -1.0, cls=Symmetry, tol=tol)
+    return spectral_map(a, lambda w: np.where(w >= 0.0, 1.0, -1.0), cls=Symmetry, tol=tol)
 
 
 class SpectralResolution:
@@ -571,29 +659,27 @@ class SpectralResolution:
     The q_i are pairwise orthogonal projections summing to the identity;
     the induced step function at lambda is the sum of all q_i with
     lambda_i <= lambda, which ascends and is right continuous.  The
-    element is recovered in norm as sum(lambda_i * q_i).
+    element is recovered in norm as sum(lambda_i * q_i).  For a stack the
+    lambda_i are arrays over the members.
     """
 
     def __init__(self, jumps: list[tuple[float, Projection]], lower: float, upper: float):
-        self.jumps = tuple((float(l), q) for l, q in jumps)
-        self.lower = float(lower)
-        self.upper = float(upper)
+        self.jumps = tuple((_out(l), q) for l, q in jumps)
+        self.lower = _out(lower)
+        self.upper = _out(upper)
 
     def at(self, lam: float) -> Projection:
         """Value of the step function at lam."""
-        shape = self.jumps[0][1].shape
-        acc = np.zeros((shape.dim, shape.dim))
+        acc = np.zeros(self.jumps[0][1].data.shape)
         for l, q in self.jumps:
-            if l <= lam:
-                acc = acc + q.data
-        return as_projection(Element._built(shape, acc))
+            acc = acc + np.where(np.asarray(l <= lam)[..., None, None], q.data, 0.0)
+        return as_projection(Element._built(self.jumps[0][1].shape, acc))
 
     def reconstruct(self) -> Element:
-        shape = self.jumps[0][1].shape
-        acc = np.zeros((shape.dim, shape.dim))
+        acc = np.zeros(self.jumps[0][1].data.shape)
         for l, q in self.jumps:
-            acc = acc + l * q.data
-        return Element._built(shape, acc)
+            acc = acc + np.asarray(l)[..., None, None] * q.data
+        return Element._built(self.jumps[0][1].shape, acc)
 
     def __len__(self) -> int:
         return len(self.jumps)
@@ -607,24 +693,26 @@ def spectral_resolution(a: Element, tol: Tolerances = DEFAULT_TOL) -> SpectralRe
     """Eigenvalue jump list of a, with nearby eigenvalues clustered.
 
     Eigenvalues closer than tol.cluster relative to the norm of a are
-    merged into a single jump carrying the summed eigenprojection.
+    merged into a single jump carrying the summed eigenprojection.  The
+    members of a stack must cluster alike (ValueError otherwise).
     """
     n = a.shape.dim
-    w, frame = block_frame(a)
-    pairs = [(float(w[i]), np.outer(frame[:, i], frame[:, i])) for i in range(n)]
-    pairs.sort(key=lambda t: t[0])
-    width = tol.cluster * max(order_unit_norm(a), 1e-300)
+    w, frame = eig_sym(a)
+    width = tol.cluster * np.maximum(order_unit_norm(a), 1e-300)
+    starts = set()
+    for wi, di in zip(w.reshape(-1, n), np.ravel(width)):
+        cuts = [0]
+        while cuts[-1] < n:
+            cuts.append(next((j for j in range(cuts[-1], n) if wi[j] - wi[cuts[-1]] > di), n))
+        starts.add(tuple(cuts))
+    if len(starts) != 1:
+        raise ValueError("the members of the stack cluster their eigenvalues differently")
+    bounds = starts.pop()
     jumps: list[tuple[float, Projection]] = []
-    i = 0
-    while i < len(pairs):
-        j = i
-        acc = np.zeros((n, n))
-        vals = []
-        while j < len(pairs) and pairs[j][0] - pairs[i][0] <= width:
-            vals.append(pairs[j][0])
-            acc = acc + pairs[j][1]
-            j += 1
+    for i, j in zip(bounds, bounds[1:]):
+        acc = np.zeros(frame.shape)
+        for k in range(i, j):
+            acc = acc + frame[..., :, k, None] * frame[..., None, :, k]
         q = as_projection(Element._built(a.shape, acc))
-        jumps.append((float(np.mean(vals)), q))
-        i = j
+        jumps.append((np.mean(w[..., i:j], axis=-1), q))
     return SpectralResolution(jumps, jumps[0][0], jumps[-1][0])

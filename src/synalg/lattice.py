@@ -20,7 +20,7 @@ from .core import (
     Projection,
     Tolerances,
     as_projection,
-    block_diag,
+    block_frame,
     commutes,
     dist,
     opnorm,
@@ -36,15 +36,35 @@ def ortho(p: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection._built(p.shape, np.eye(p.shape.dim) - p.data, tol)
 
 
+def _by_layout(fn, p: Projection, q: Projection) -> Projection:
+    """fn(p, q) for single projections; for stacks, fn once per group of
+    members whose blockwise ranks of p and q agree, so that their range
+    bases share one column layout (see `core.span`)."""
+    p._coerce(q)
+    if p.data.ndim == q.data.ndim == 2:
+        return fn(p, q)
+    m = max(len(x.data) for x in (p, q) if x.data.ndim == 3)
+    p, q = (x if x.data.ndim == 3 else Projection._raw(x.shape, np.broadcast_to(x.data, (m,) + x.data.shape))
+            for x in (p, q))
+    keys = np.concatenate([block_frame(p)[0] > 0.5, block_frame(q)[0] > 0.5], axis=-1)
+    keys = keys @ (1 << np.arange(keys.shape[-1]))
+    out = np.empty(p.data.shape)
+    for key in np.unique(keys):
+        at = np.flatnonzero(keys == key)
+        out[at] = fn(p[at], q[at]).data
+    return Projection._raw(p.shape, out)
+
+
 def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Least upper bound: the projection onto the span of both ranges."""
-    return span(p._coerce(q).shape, np.hstack([range_basis(p), range_basis(q)]), tol)
+    return _by_layout(lambda p, q: span(p.shape, np.concatenate([range_basis(p), range_basis(q)], -1), tol),
+                      p, q)
 
 
 def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Greatest lower bound: the complement of the span of both complements."""
-    cols = np.hstack([range_basis(p, inside=False), range_basis(q, inside=False)])
-    return ortho(span(p._coerce(q).shape, cols, tol), tol)
+    return _by_layout(lambda p, q: ortho(span(p.shape, np.concatenate(
+        [range_basis(p, inside=False), range_basis(q, inside=False)], -1), tol), tol), p, q)
 
 
 def orthogonal(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -60,7 +80,7 @@ def compatible(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> b
 def sasaki(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Sasaki projection of q by p, onto p applied to range(q) (the range of
     p q p); lattice-theoretically p meet (ortho(p) join q)."""
-    return span(p._coerce(q).shape, range_basis(q), tol, onto=range_basis(p))
+    return _by_layout(lambda p, q: span(p.shape, range_basis(q), tol, onto=range_basis(p)), p, q)
 
 
 class CentralProjection(Projection):
@@ -77,14 +97,17 @@ class CentralProjection(Projection):
 
     @classmethod
     def from_mask(cls, shape: ModelShape, mask) -> "CentralProjection":
-        """The central projection that is 1 on the blocks where mask is true."""
-        mask = tuple(bool(m) for m in mask)
-        if len(mask) != shape.nblocks:
-            raise ValueError(f"mask has {len(mask)} entries for {shape.nblocks} blocks")
-        blocks = [np.eye(b) if on else np.zeros((b, b)) for on, b in zip(mask, shape.blocks)]
-        out = cls._built(shape, block_diag(shape, blocks))
-        object.__setattr__(out, "block_mask", mask)
+        """The central projection that is 1 on the blocks where mask is true;
+        a stack for an (m, k) mask, whose `block_mask` is then that array."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape[-1:] != (shape.nblocks,):
+            raise ValueError(f"mask has {mask.shape[-1]} entries for {shape.nblocks} blocks")
+        out = cls._built(shape, np.eye(shape.dim) * np.repeat(mask, shape.blocks, axis=-1)[..., None, :])
+        object.__setattr__(out, "block_mask", tuple(mask.tolist()) if mask.ndim == 1 else mask)
         return out
+
+    def __getitem__(self, i):
+        return self.from_mask(self.shape, self.block_mask[i])
 
 
 def _central_mask(p: Projection, tol: Tolerances) -> tuple[bool, ...] | None:
@@ -111,21 +134,14 @@ def center_basis(shape: ModelShape) -> list[CentralProjection]:
 
     Their 2^k sums enumerate the whole center, a boolean algebra.
     """
-    out = []
-    for i in range(shape.nblocks):
-        mask = [j == i for j in range(shape.nblocks)]
-        out.append(CentralProjection.from_mask(shape, mask))
-    return out
+    k = shape.nblocks
+    return [CentralProjection.from_mask(shape, [j == i for j in range(k)]) for i in range(k)]
 
 
 def center_elements(shape: ModelShape) -> list[CentralProjection]:
     """All 2^k central projections of the model."""
     k = shape.nblocks
-    out = []
-    for bits in range(1 << k):
-        mask = [(bits >> j) & 1 == 1 for j in range(k)]
-        out.append(CentralProjection.from_mask(shape, mask))
-    return out
+    return [CentralProjection.from_mask(shape, [bits >> j & 1 == 1 for j in range(k)]) for bits in range(1 << k)]
 
 
 def central_cover(a: Element, tol: Tolerances = DEFAULT_TOL) -> CentralProjection:
@@ -134,7 +150,7 @@ def central_cover(a: Element, tol: Tolerances = DEFAULT_TOL) -> CentralProjectio
     Blockwise: a block contributes iff a's restriction to it is nonzero.
     """
     mask = [opnorm(a.block(i)) > tol.rank for i in range(a.shape.nblocks)]
-    return CentralProjection.from_mask(a.shape, mask)
+    return CentralProjection.from_mask(a.shape, np.array(mask).T)
 
 
 def centrally_orthogonal(ps: list[Projection], tol: Tolerances = DEFAULT_TOL) -> list[CentralProjection] | None:
@@ -184,7 +200,7 @@ class IntervalModel:
         return dist(self.compress(a), a) <= self.tol.proj * (1.0 + order_unit_norm(a))
 
     def _require_member(self, q: Projection) -> None:
-        if not self.contains(q):
+        if not np.all(self.contains(q)):
             raise PreconditionError("projection is not below the interval top")
 
     def ortho(self, q: Projection) -> Projection:

@@ -37,8 +37,8 @@ from .core import (
     Projection,
     SynalgError,
     Tolerances,
-    dist,
     opnorm,
+    stack,
     unit_projection,
     zero_projection,
 )
@@ -509,49 +509,63 @@ def mo_oml(n: int) -> FiniteOml:
     return FiniteOml(tuple(names), leq, np.arange(m) ^ 1, 0, 1)
 
 
+def _close(d: np.ndarray, bound: float) -> np.ndarray:
+    """opnorm(d) <= bound per matrix of a stack.  The norm lies between the largest entry and
+    n times it, so an SVD runs only where they straddle the bound (with a factor 2 to spare)."""
+    big = np.abs(d).max(axis=(-2, -1))
+    out = big * d.shape[-1] <= bound / 2
+    open_ = ~out & (big <= 2 * bound)
+    out[open_] = opnorm(d[open_]) <= bound if open_.any() else False
+    return out
+
+
 def oml_from_projections(ps: list[Projection], cap: int = 64,
                          tol: Tolerances = DEFAULT_TOL) -> tuple[FiniteOml, list[Projection]]:
     """Close a finite family of concrete projections into a finite lattice.
 
     Iterates meet, join and complement until stable, deduplicating by
-    matrix distance; raises ClosureExplosionError past the cap.  Returns
-    the abstract lattice and the matrix for each element.
+    matrix distance (10 tol.proj); raises ClosureExplosionError past the
+    cap.  Returns the abstract lattice and the matrix for each element.
     """
     if not ps:
         raise ValueError("need at least one projection")
     shape = ps[0].shape
     pool: list[Projection] = [zero_projection(shape), unit_projection(shape)]
+    data = np.stack([x.data for x in pool])
 
     def add(x: Projection) -> None:
-        for y in pool:
-            if dist(x, y) <= 10 * tol.proj:
-                return
+        nonlocal data
+        if _close(x.data - data, 10 * tol.proj).any():
+            return
         if len(pool) >= cap:
             raise ClosureExplosionError(f"lattice closure exceeded {cap} elements")
         pool.append(x)
+        data = np.concatenate([data, x.data[None]])
 
     for p in ps:
         add(p)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(pool)
-        for i, a in enumerate(snapshot):
-            before = len(pool)
-            add(mortho(a, tol))
-            for b in snapshot[i + 1:]:
-                add(mjoin(a, b, tol))
-                add(mmeet(a, b, tol))
-            if len(pool) != before:
-                changed = True
+    done = 0
+    # Each sweep adds, in order, ortho(a) and then a join b, a meet b for each later b.  What
+    # two elements of an earlier sweep give is already in the pool, so only newer pairs run.
+    while done < len(pool):
+        before = len(pool)
+        snapshot = stack(pool)
+        i, j = np.triu_indices(before, 1)
+        i, j = i[j >= done], j[j >= done]
+        orthos = mortho(snapshot, tol)
+        joins, meets = mjoin(snapshot[i], snapshot[j], tol), mmeet(snapshot[i], snapshot[j], tol)
+        for k in range(before):
+            if k >= done:
+                add(orthos[k])
+            for pair in np.flatnonzero(i == k):
+                add(joins[pair])
+                add(meets[pair])
+        done = before
     m = len(pool)
     names = tuple(f"p{i}" for i in range(m))
-    leqm = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            leqm[i, j] = opnorm(pool[i].data @ pool[j].data - pool[i].data) <= 10 * tol.proj
-    ortho = np.array([next(j for j in range(m) if dist(pool[j], mortho(pool[i], tol)) <= 10 * tol.proj)
-                      for i in range(m)], dtype=int)
+    leqm = _close(data[:, None] @ data[None] - data[:, None], 10 * tol.proj)
+    # the pool is closed under ortho, so every row has a match; take the first
+    ortho = np.argmax(_close(data[None] - mortho(stack(pool), tol).data[:, None], 10 * tol.proj), axis=1)
     bottom = next(i for i in range(m) if pool[i].rank() == 0)
     top = next(i for i in range(m) if pool[i].rank() == shape.dim)
     return FiniteOml(names, leqm, ortho, bottom, top), pool

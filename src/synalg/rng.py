@@ -4,6 +4,11 @@ The generator is xorshift64* (Marsaglia xorshift with a multiplicative
 output scramble), seeded through one round of splitmix64 so that seed 0
 is usable.  It is implemented in plain integer arithmetic so reports
 reproduce across platforms for a fixed seed.
+
+A stacked suite draws its trials' inputs up front, in the order the trials
+would draw them: `matrix` is the data of an `element` draw, and `absolute`,
+`snap` and `sym_from_proj` finish a stack of them as `positive_element`,
+`projection` and `symmetry` finish one.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .core import (
     ModelShape,
     Projection,
     Symmetry,
+    absolute,
     block_diag,
     eig_sym,
     span,
@@ -57,17 +63,19 @@ class XorShift64Star:
         return int(self.uniform() * n)
 
     # -- model-valued draws -------------------------------------------
-    def element(self, shape: ModelShape) -> Element:
-        """Random symmetric element, entries uniform in [-1, 1] symmetrized."""
+    def matrix(self, shape: ModelShape) -> np.ndarray:
+        """Data of a random symmetric element, entries uniform in [-1, 1] symmetrized."""
         blocks = []
         for b in shape.blocks:
             raw = np.array([[2.0 * self.uniform() - 1.0 for _ in range(b)] for _ in range(b)])
             blocks.append(0.5 * (raw + raw.T))
-        return Element(shape, block_diag(shape, blocks))
+        return block_diag(shape, blocks)
+
+    def element(self, shape: ModelShape) -> Element:
+        return Element(shape, self.matrix(shape))
 
     def positive_element(self, shape: ModelShape) -> Element:
-        a = self.element(shape)
-        return spectral_map(a, abs)
+        return absolute(self.element(shape))
 
     def projection(self, shape: ModelShape, rank: int | None = None) -> Projection:
         """Spectral snap of a random symmetric element.
@@ -77,7 +85,7 @@ class XorShift64Star:
         """
         a = self.element(shape)
         if rank is None:
-            return spectral_map(a, lambda x: 1.0 if x > 0.0 else 0.0, cls=Projection)
+            return snap(a)
         w, v = eig_sym(a)
         return span(shape, v[:, np.argsort(w)[::-1][:rank]])
 
@@ -89,3 +97,9 @@ class XorShift64Star:
         w, v = eig_sym(p)
         keep = [i for i in range(len(w)) if w[i] > 0.5 and self.uniform() < 0.5]
         return span(p.shape, v[:, keep])
+
+
+def snap(a: Element) -> Projection:
+    """The projection onto the positive eigenvectors of a: how `projection`
+    finishes its draw when no rank is given."""
+    return spectral_map(a, lambda w: np.where(w > 0.0, 1.0, 0.0), cls=Projection)

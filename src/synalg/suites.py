@@ -4,6 +4,12 @@ Each suite draws from a deterministic xorshift stream, funnels worst-case
 residuals into an accumulator, and reports one CHECK line per named
 property.  The same machinery backs the command-line `verify` run and the
 acceptance tests, which simply raise the trial counts.
+
+The straight-line trial loops run stacked (`_stacked`): the trials' inputs
+are drawn up front in the order the trials would draw them, each statement
+runs once over all trials (see `core` on stacks), and the observations are
+replayed trial by trial in statement order, as a loop over trials makes
+them.  Loops whose draws or branches depend on the trial's results stay.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .core import (
     NotInvertibleError,
     Projection,
     Symmetry,
+    SynalgError,
     Tolerances,
     absolute,
     as_projection,
@@ -41,6 +48,7 @@ from .core import (
     span,
     spectral_resolution,
     sqrt_pos,
+    stack,
     sym_from_proj,
     symmetrize_sum,
     unit,
@@ -86,8 +94,8 @@ from .oml import (
     six_piece_exhaustive,
     verify_oml,
 )
-from .report import Accumulator, ReportLine
-from .rng import XorShift64Star
+from .report import Accumulator, Batch, ReportLine
+from .rng import XorShift64Star, snap
 from .symmetry import (
     ExchangeWitness,
     PerspectivityWitness,
@@ -235,63 +243,36 @@ def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: i
     return ws
 
 
+# -- stacked trials -------------------------------------------------------
+
+def _stacked(acc: Accumulator, trials: int, body, tol: Tolerances, *draws) -> None:
+    """Run body(batch, tol, *draws) once over the stacked draws of all trials
+    and replay what it observes into `acc`, trial by trial in statement order.
+
+    If the stacked run raises, the body runs on one trial at a time, so the
+    error raised is the first in trial and statement order.
+    """
+    try:
+        batches = [Batch(body, tol, *draws)]
+    except (SynalgError, ValueError):
+        batches = [Batch(body, tol, *(d[[t]] for d in draws)) for t in range(trials)]
+    acc.replay(batches, trials)
+
+
+def _pos(x):
+    """max(0.0, x) entrywise, as Python's max picks (0.0 for -0.0)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
 # -- suites ---------------------------------------------------------------
 
 def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                      trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
-    one = unit(shape)
-    for _ in range(trials):
-        a = rng.element(shape)
-        b = rng.element(shape)
-        acc.observe("synalg.square_positive", max(0.0, -float(np.min(jordan(a, a).eigenvalues()))), tol.psd)
-        ap, bp = absolute(a), absolute(b)
-        acc.observe("synalg.quad_preserves_positive",
-                    max(0.0, -float(np.min(quad(ap, bp).eigenvalues()))), tol.psd)
-        p = rng.projection(shape)
-        inside = quad(as_projection(ortho(p)), bp)
-        supported = quad(p, a)
-        acc.observe("synalg.annihilation", opnorm(supported.data @ inside.data),
-                    tol.proj * (1 + order_unit_norm(supported)))
-        acc.observe("synalg.polar_decomposition",
-                    dist(a, Element(shape, signum(a).data @ absolute(a).data)), 1e-8)
-        acc.observe("synalg.parts_product_zero", opnorm(pos_part(a).data @ neg_part(a).data), 1e-8)
-        acc.observe("synalg.parts_sum_is_abs", dist(pos_part(a) + neg_part(a), absolute(a)), 1e-8)
-        acc.observe("synalg.parts_difference_is_a", dist(pos_part(a) - neg_part(a), a), 1e-8)
-        acc.observe("synalg.carrier_fixes", dist(Element(shape, a.data @ carrier(a).data), a),
-                    tol.proj * (1 + order_unit_norm(a)))
-        sr = spectral_resolution(a)
-        acc.observe("synalg.spectral_reconstruction", dist(sr.reconstruct(), a), 1e-8)
-        lo, hi = sr.lower - 0.5, sr.upper + 0.5
-        for i in range(6):
-            lam = lo + (hi - lo) * (i + 0.5) / 6
-            direct = ortho(carrier(pos_part(a - scalar(shape, lam))))
-            acc.observe("synalg.step_function_formula", dist(sr.at(lam), direct), tol.proj)
-        pos4 = [rng.positive_element(shape) for _ in range(4)]
-        total = pos4[0]
-        cj = carrier(pos4[0])
-        for x in pos4[1:]:
-            total = total + x
-            cj = join(cj, carrier(x))
-        acc.observe("synalg.carrier_of_sum", dist(carrier(total), cj), tol.proj)
-        root = sqrt_pos(ap)
-        acc.observe("synalg.sqrt_squares_back", dist(jordan(root, root), ap), 1e-8)
-        acc.check("synalg.sqrt_commutant", commutes(root, quad(a, a)))
-        shifted = ap + scalar(shape, 0.5)
-        acc.observe("synalg.inverse_contract",
-                    dist(Element(shape, shifted.data @ inverse(shifted).data), one), 1e-8)
-        s = rng.symmetry(shape)
-        acc.observe("synalg.symmetry_has_norm_one", abs(order_unit_norm(s) - 1.0), 1e-12)
-        acc.observe("synalg.quad_involution", dist(quad(s, quad(s, b)), b), 1e-8)
-        x = s @ p
-        acc.observe("synalg.symmetrized_transpose_sum",
-                    dist(symmetrize_sum(x, x.T), Element(shape, x.data + x.data.T)), 1e-12)
-        c, d = jordan(a, a), jordan(a, a) + one  # commuting pair
-        acc.observe("synalg.jordan_commuting_is_product",
-                    dist(jordan(c, d), Element(shape, c.data @ d.data)), tol.proj * 10)
-        w, v = eig_sym(a)
-        acc.observe("synalg.eig_reconstruction", opnorm((v * w) @ v.T - a.data),
-                    tol.eig * (1 + order_unit_norm(a)))
-        acc.observe("synalg.eig_orthonormal", opnorm(v.T @ v - np.eye(shape.dim)), 1e-12)
+    # per trial: a, b, p, four positive elements, s
+    raw = np.array([[rng.matrix(shape) for _ in range(8)] for _ in range(trials)])
+    el = [Element(shape, raw[:, k]) for k in range(8)]
+    _stacked(acc, trials, _synalg_trials, tol, el[0], el[1], snap(el[2]), sym_from_proj(snap(el[7])),
+             *(absolute(x) for x in el[3:7]))
     small = ModelShape((min(4, shape.blocks[0]),))
     for _ in range(min(trials, 10)):
         a = rng.element(small)
@@ -314,53 +295,74 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
     acc.check("synalg.commutant_limit_smoke", stayed)
 
 
+def _synalg_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, p: Projection, s: Symmetry,
+                   *pos4: Element) -> None:
+    shape = a.shape
+    one = unit(shape)
+    acc.observe("synalg.square_positive", _pos(-np.min(jordan(a, a).eigenvalues(), axis=-1)), tol.psd)
+    ap, bp = absolute(a), absolute(b)
+    acc.observe("synalg.quad_preserves_positive", _pos(-np.min(quad(ap, bp).eigenvalues(), axis=-1)), tol.psd)
+    inside = quad(as_projection(ortho(p)), bp)
+    supported = quad(p, a)
+    acc.observe("synalg.annihilation", opnorm(supported.data @ inside.data),
+                tol.proj * (1 + order_unit_norm(supported)))
+    acc.observe("synalg.polar_decomposition",
+                dist(a, Element(shape, signum(a).data @ absolute(a).data)), 1e-8)
+    acc.observe("synalg.parts_product_zero", opnorm(pos_part(a).data @ neg_part(a).data), 1e-8)
+    acc.observe("synalg.parts_sum_is_abs", dist(pos_part(a) + neg_part(a), absolute(a)), 1e-8)
+    acc.observe("synalg.parts_difference_is_a", dist(pos_part(a) - neg_part(a), a), 1e-8)
+    acc.observe("synalg.carrier_fixes", dist(Element(shape, a.data @ carrier(a).data), a),
+                tol.proj * (1 + order_unit_norm(a)))
+    sr = spectral_resolution(a)
+    acc.observe("synalg.spectral_reconstruction", dist(sr.reconstruct(), a), 1e-8)
+    lo, hi = sr.lower - 0.5, sr.upper + 0.5
+    for i in range(6):
+        lam = lo + (hi - lo) * (i + 0.5) / 6
+        direct = ortho(carrier(pos_part(a - scalar(shape, lam))))
+        acc.observe("synalg.step_function_formula", dist(sr.at(lam), direct), tol.proj)
+    total = pos4[0]
+    cj = carrier(pos4[0])
+    for x in pos4[1:]:
+        total = total + x
+        cj = join(cj, carrier(x))
+    acc.observe("synalg.carrier_of_sum", dist(carrier(total), cj), tol.proj)
+    root = sqrt_pos(ap)
+    acc.observe("synalg.sqrt_squares_back", dist(jordan(root, root), ap), 1e-8)
+    acc.check("synalg.sqrt_commutant", commutes(root, quad(a, a)))
+    shifted = ap + scalar(shape, 0.5)
+    acc.observe("synalg.inverse_contract",
+                dist(Element(shape, shifted.data @ inverse(shifted).data), one), 1e-8)
+    acc.observe("synalg.symmetry_has_norm_one", np.abs(order_unit_norm(s) - 1.0), 1e-12)
+    acc.observe("synalg.quad_involution", dist(quad(s, quad(s, b)), b), 1e-8)
+    x = s @ p
+    acc.observe("synalg.symmetrized_transpose_sum",
+                dist(symmetrize_sum(x, x.T), Element(shape, x.data + x.data.swapaxes(-1, -2))), 1e-12)
+    c, d = jordan(a, a), jordan(a, a) + one  # commuting pair
+    acc.observe("synalg.jordan_commuting_is_product",
+                dist(jordan(c, d), Element(shape, c.data @ d.data)), tol.proj * 10)
+    w, v = eig_sym(a)
+    acc.observe("synalg.eig_reconstruction", opnorm((v * w[..., None, :]) @ v.swapaxes(-1, -2) - a.data),
+                tol.eig * (1 + order_unit_norm(a)))
+    acc.observe("synalg.eig_orthonormal", opnorm(v.swapaxes(-1, -2) @ v - np.eye(shape.dim)), 1e-12)
+
+
 def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                       trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one_p = unit_projection(shape)
+    # per trial: p, q, r, the subprojections of p and q, and the two interval draws
+    raw, subs = [], []
     for _ in range(trials):
-        p = rng.projection(shape)
-        q = rng.projection(shape)
-        r = rng.projection(shape)
-        sub = rng.subprojection(p)
-        acc.observe("lattice.orthomodular_law",
-                    dist(join(sub, meet(p, ortho(sub))), p), 1e-8)
-        acc.observe("lattice.demorgan",
-                    dist(ortho(join(p, q)), meet(ortho(p), ortho(q))), 1e-8)
-        acc.check("lattice.sasaki_duality",
-                  orthogonal(sasaki(p, q), r) == orthogonal(q, sasaki(p, r)))
-        acc.observe("lattice.sasaki_idempotent",
-                    dist(sasaki(p, sasaki(p, q)), sasaki(p, q)), 1e-8)
-        compat = compatible(p, q)
-        acc.check("lattice.sasaki_compatibility",
-                  compat == (dist(sasaki(p, q), meet(p, q)) <= 1e-8)
-                  and compat == leq(sasaki(p, q), q))
-        if compat:
-            acc.observe("lattice.compatible_product_is_meet",
-                        opnorm(p.data @ q.data - meet(p, q).data), 1e-8)
-        acc.check("lattice.sasaki_vanishes_iff_orthogonal",
-                  orthogonal(p, q) == (sasaki(p, q).rank() == 0))
-        acc.observe("lattice.sasaki_lattice_formula",
-                    dist(sasaki(p, q), meet(p, join(ortho(p), q))), tol.proj)
-        if orthogonal(p, ortho(p)):
-            acc.check("lattice.complement_compatible", compatible(p, ortho(p)))
-        sub2 = rng.subprojection(q)
-        if orthogonal(sub, sub2):
-            acc.observe("lattice.orthogonal_join_is_sum",
-                        dist(join(sub, sub2), as_projection(sub + sub2)), 1e-8)
-        m = IntervalModel(p)
-        qq = meet(rng.projection(shape), p)
-        rr = meet(rng.projection(shape), p)
-        acc.observe("lattice.interval_ortho", dist(m.ortho(qq), as_projection(p - qq)), 1e-8)
-        acc.observe("lattice.interval_sasaki_restricts",
-                    dist(m.sasaki(qq, rr), sasaki(qq, rr)), tol.proj * 10)
-        acc.observe("lattice.interval_relative_complement_rule",
-                    dist(m.sasaki(qq, m.ortho(rr)), sasaki(qq, ortho(rr))), tol.proj * 10)
+        raw.append([rng.matrix(shape) for _ in range(3)])
+        subs.append([rng.subprojection(snap(Element(shape, m))) for m in raw[-1][:2]])
+        raw[-1] += [rng.matrix(shape), rng.matrix(shape)]
+    ps = [snap(Element(shape, m)) for m in np.array(raw).swapaxes(0, 1)]
+    _stacked(acc, trials, _lattice_trials, tol, *ps[:3], stack([x for x, _ in subs]),
+             stack([y for _, y in subs]), *ps[3:])
     if shape.dim <= 4:
-        for _ in range(trials):
-            p = rng.projection(shape)
-            q = rng.projection(shape)
-            acc.observe("lattice.join_matches_orthonormalization_oracle",
-                        dist(join(p, q), carrier(p + q)), 1e-8)
+        pq = np.array([[rng.matrix(shape) for _ in range(2)] for _ in range(trials)]).swapaxes(0, 1)
+        _stacked(acc, trials, lambda acc, tol, p, q: acc.observe(
+            "lattice.join_matches_orthonormalization_oracle", dist(join(p, q), carrier(p + q)), 1e-8),
+                 tol, *(snap(Element(shape, m)) for m in pq))
     cents = center_elements(shape)
     for c1 in cents:
         for c2 in cents:
@@ -402,6 +404,30 @@ def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
             acc.check("lattice.colliding_covers_rejected",
                       centrally_orthogonal([a, b], tol) is None)
     acc.check("lattice.unit_join_identity", dist(join(one_p, rng.projection(shape)), one_p) <= 1e-8)
+
+
+def _lattice_trials(acc: Batch, tol: Tolerances, p: Projection, q: Projection, r: Projection,
+                    sub: Projection, sub2: Projection, qq: Projection, rr: Projection) -> None:
+    spq, mpq = sasaki(p, q), meet(p, q)
+    acc.observe("lattice.orthomodular_law", dist(join(sub, meet(p, ortho(sub))), p), 1e-8)
+    acc.observe("lattice.demorgan", dist(ortho(join(p, q)), meet(ortho(p), ortho(q))), 1e-8)
+    acc.check("lattice.sasaki_duality", orthogonal(spq, r) == orthogonal(q, sasaki(p, r)))
+    acc.observe("lattice.sasaki_idempotent", dist(sasaki(p, spq), spq), 1e-8)
+    compat = compatible(p, q)
+    acc.check("lattice.sasaki_compatibility",
+              (compat == (dist(spq, mpq) <= 1e-8)) & (compat == leq(spq, q)))
+    acc.observe("lattice.compatible_product_is_meet", opnorm(p.data @ q.data - mpq.data), 1e-8, where=compat)
+    acc.check("lattice.sasaki_vanishes_iff_orthogonal", orthogonal(p, q) == (spq.rank() == 0))
+    acc.observe("lattice.sasaki_lattice_formula", dist(spq, meet(p, join(ortho(p), q))), tol.proj)
+    acc.check("lattice.complement_compatible", compatible(p, ortho(p)), where=orthogonal(p, ortho(p)))
+    acc.observe("lattice.orthogonal_join_is_sum", dist(join(sub, sub2), as_projection(sub + sub2)), 1e-8,
+                where=orthogonal(sub, sub2))
+    m = IntervalModel(p)
+    qq, rr = meet(qq, p), meet(rr, p)
+    acc.observe("lattice.interval_ortho", dist(m.ortho(qq), as_projection(p - qq)), 1e-8)
+    acc.observe("lattice.interval_sasaki_restricts", dist(m.sasaki(qq, rr), sasaki(qq, rr)), tol.proj * 10)
+    acc.observe("lattice.interval_relative_complement_rule",
+                dist(m.sasaki(qq, m.ortho(rr)), sasaki(qq, ortho(rr))), tol.proj * 10)
 
 
 def gamma_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, trials: int,
@@ -453,59 +479,17 @@ def gamma_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, trial
 def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                        trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one = unit(shape)
+    # per trial: a, b, s, e, f, p0, the subprojections of e and ortho(e), and sex
+    raw, es, subs = [], [], []
     for _ in range(trials):
-        a = rng.element(shape)
-        b = rng.element(shape)
-        s = rng.symmetry(shape)
-        acc.observe("symmetry.conjugation_jordan_automorphism",
-                    dist(quad(s, jordan(a, b)), jordan(quad(s, a), quad(s, b))), 1e-8)
-        acc.observe("symmetry.conjugation_involutive", dist(quad(s, quad(s, a)), a), 1e-8)
-        low, high = a, a + absolute(b)
-        acc.check("symmetry.conjugation_order_preserving", leq(quad(s, low), quad(s, high)))
-        acc.observe("symmetry.carrier_equivariance",
-                    dist(carrier(quad(s, a)), quad(s, carrier(a))), 1e-8)
-        c1, c2 = jordan(a, a), pos_part(a)
-        acc.check("symmetry.commutation_transfer",
-                  commutes(c1, c2) and commutes(quad(s, c1), quad(s, c2)))
-        e = rng.projection(shape)
-        f = rng.projection(shape)
-        diff_abs = absolute(e - f)
-        acc.observe("symmetry.difference_abs_commutes_e",
-                    opnorm(e.data @ diff_abs.data - diff_abs.data @ e.data), 1e-8)
-        acc.observe("symmetry.difference_abs_commutes_f",
-                    opnorm(f.data @ diff_abs.data - diff_abs.data @ f.data), 1e-8)
-        built = exchange_efe_fef(e, f, tol)
-        acc.observe("symmetry.efe_to_fef",
-                    dist(quad(built, quad(e, f)), quad(f, e)), 1e-8)
-        acc.observe("symmetry.built_symmetry_involution",
-                    opnorm(built.data @ built.data - np.eye(shape.dim)), 1e-8)
-        acc.observe("symmetry.built_symmetry_norm_one", abs(order_unit_norm(built) - 1.0), 1e-8)
-        w = sasaki_exchange(e, f, tol)
-        acc.observe("symmetry.sasaki_pair_exchanged", w.residual(), 1e-8)
-        pw = parallelogram_exchange(e, f, tol)
-        acc.observe("symmetry.parallelogram_exchanged", pw.residual(), 1e-8)
-        if not orthogonal(e, f, tol):
-            # related_witness(e, f) is the Sasaki exchange w for a non-orthogonal pair
-            acc.check("symmetry.related_parts_nonzero", w.e.rank() > 0 and w.f.rank() > 0)
-        else:
-            acc.check("symmetry.orthogonal_gives_none", related_witness(e, f, tol) is None)
-        p0 = rng.projection(shape)
-        t_part = rng.subprojection(e) - rng.subprojection(ortho(e, tol))
-        ext = canonical_extension(t_part, tol)
-        acc.observe("symmetry.canonical_extension_involution",
-                    opnorm(ext.data @ ext.data - np.eye(shape.dim)), 1e-8)
-        acc.observe("symmetry.partial_sign_square_is_support",
-                    dist(Element(shape, signum(a).data @ signum(a).data), carrier(a)), 1e-8)
-        acc.observe("symmetry.proj_sym_bijection",
-                    dist(proj_from_sym(sym_from_proj(p0, tol), tol), p0), 1e-10)
-        sex = rng.symmetry(shape)
-        fex = as_projection(quad(sex, e), tol=tol)
-        spw = strong_perspectivity(ExchangeWitness(sex, e, fex), tol)
-        res = spw.residuals(tol)
-        acc.observe("symmetry.strong_perspectivity", max(res.values()), 1e-8)
-        lifted = lift_to_full(spw, tol)
-        s1, s2 = perspective_to_chain(lifted, tol)
-        acc.observe("symmetry.perspective_chain", dist(quad(s2, quad(s1, e)), fex), 1e-8)
+        raw.append([rng.matrix(shape) for _ in range(6)])
+        es.append(snap(Element(shape, raw[-1][3])))
+        subs.append((rng.subprojection(es[-1]), rng.subprojection(ortho(es[-1]))))
+        raw[-1].append(rng.matrix(shape))
+    el = [Element(shape, m) for m in np.array(raw).swapaxes(0, 1)]
+    sym = [sym_from_proj(snap(el[k])) for k in (2, 6)]
+    _stacked(acc, trials, _symmetry_trials, tol, el[0], el[1], sym[0], stack(es), snap(el[4]), snap(el[5]),
+             stack([x for x, _ in subs]), stack([y for _, y in subs]), sym[1])
     for _ in range(trials):
         pair = complement_pair(rng, shape)
         if pair is not None:
@@ -539,8 +523,58 @@ def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
     acc.observe("symmetry.empty_family_is_minus_one", dist(empty, -1.0 * one), 1e-12)
 
 
+def _symmetry_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, s: Symmetry, e: Projection,
+                     f: Projection, p0: Projection, sub_e: Projection, sub_oe: Projection,
+                     sex: Symmetry) -> None:
+    shape = a.shape
+    acc.observe("symmetry.conjugation_jordan_automorphism",
+                dist(quad(s, jordan(a, b)), jordan(quad(s, a), quad(s, b))), 1e-8)
+    acc.observe("symmetry.conjugation_involutive", dist(quad(s, quad(s, a)), a), 1e-8)
+    low, high = a, a + absolute(b)
+    acc.check("symmetry.conjugation_order_preserving", leq(quad(s, low), quad(s, high)))
+    acc.observe("symmetry.carrier_equivariance",
+                dist(carrier(quad(s, a)), quad(s, carrier(a))), 1e-8)
+    c1, c2 = jordan(a, a), pos_part(a)
+    acc.check("symmetry.commutation_transfer",
+              commutes(c1, c2) & commutes(quad(s, c1), quad(s, c2)))
+    diff_abs = absolute(e - f)
+    acc.observe("symmetry.difference_abs_commutes_e",
+                opnorm(e.data @ diff_abs.data - diff_abs.data @ e.data), 1e-8)
+    acc.observe("symmetry.difference_abs_commutes_f",
+                opnorm(f.data @ diff_abs.data - diff_abs.data @ f.data), 1e-8)
+    built = exchange_efe_fef(e, f, tol)
+    acc.observe("symmetry.efe_to_fef",
+                dist(quad(built, quad(e, f)), quad(f, e)), 1e-8)
+    acc.observe("symmetry.built_symmetry_involution",
+                opnorm(built.data @ built.data - np.eye(shape.dim)), 1e-8)
+    acc.observe("symmetry.built_symmetry_norm_one", np.abs(order_unit_norm(built) - 1.0), 1e-8)
+    w = sasaki_exchange(e, f, tol)
+    acc.observe("symmetry.sasaki_pair_exchanged", w.residual(), 1e-8)
+    pw = parallelogram_exchange(e, f, tol)
+    acc.observe("symmetry.parallelogram_exchanged", pw.residual(), 1e-8)
+    orth = orthogonal(e, f, tol)
+    # related_witness(e, f) is the Sasaki exchange w for a non-orthogonal pair
+    acc.check("symmetry.related_parts_nonzero", (w.e.rank() > 0) & (w.f.rank() > 0), where=~orth)
+    acc.check("symmetry.orthogonal_gives_none",
+              [bool(o) and related_witness(e[i], f[i], tol) is None for i, o in enumerate(orth)], where=orth)
+    ortho(e, tol)  # drawn at the default tolerance; a drift failure under tol stays in its place
+    ext = canonical_extension(sub_e - sub_oe, tol)
+    acc.observe("symmetry.canonical_extension_involution",
+                opnorm(ext.data @ ext.data - np.eye(shape.dim)), 1e-8)
+    acc.observe("symmetry.partial_sign_square_is_support",
+                dist(Element(shape, signum(a).data @ signum(a).data), carrier(a)), 1e-8)
+    acc.observe("symmetry.proj_sym_bijection",
+                dist(proj_from_sym(sym_from_proj(p0, tol), tol), p0), 1e-10)
+    fex = as_projection(quad(sex, e), tol=tol)
+    spw = strong_perspectivity(ExchangeWitness(sex, e, fex), tol)
+    acc.observe("symmetry.strong_perspectivity", np.max(list(spw.residuals(tol).values()), axis=0), 1e-8)
+    s1, s2 = perspective_to_chain(lift_to_full(spw, tol), tol)
+    acc.observe("symmetry.perspective_chain", dist(quad(s2, quad(s1, e)), fex), 1e-8)
+
+
 def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                             trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
+    centers = center_elements(shape)
     for _ in range(trials):
         p = rng.projection(shape)
         chain = SymmetryChain(tuple(rng.symmetry(shape) for _ in range(1 + rng.randint(3))))
@@ -574,7 +608,7 @@ def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelS
             acc.check("comparability.nonorthogonal_related", related(e, f, tol))
             rw = related_witness(e, f, tol)
             acc.check("comparability.sk4_witness", rw is not None and rw.e.rank() > 0)
-        for c in center_elements(shape):
+        for c in centers:
             acc.check("comparability.central_related_iff_not_orthogonal",
                       related(e, c, tol) == (not orthogonal(e, c, tol)))
         d = orthogonal_decomposition(e, f, tol)
@@ -593,7 +627,7 @@ def run_comparability_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelS
             acc.check("comparability.irreducible_dichotomy",
                       gc.h.block_mask in ((True,), (False,)))
         pr = rng.projection(shape)
-        cc = center_elements(shape)[rng.randint(len(center_elements(shape)))]
+        cc = centers[rng.randint(len(centers))]
         dd = meet(pr, cc, tol)
         try:
             witness_c = relative_center_witness(pr, dd, tol)
@@ -626,17 +660,10 @@ def invariant_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, t
     counterexample to the meet condition is found by search.
     """
     for h in center_elements(shape):
-        for _ in range(trials):
-            s = rng.symmetry(shape)
-            p0 = rng.subprojection(h)
-            p = as_projection(quad(s, p0), tol=tol)
-            back = as_projection(quad(s, p), tol=tol)
-            acc.observe("invariant.conjugate_into_center_round_trip", dist(back, p0), tol.proj)
-            below = float(np.min((h - p).eigenvalues()))
-            acc.observe("invariant.conjugated_subprojection_stays_below", max(0.0, -below), tol.psd)
-            q = rng.projection(shape)
-            if meet(q, h, tol).rank() == 0:
-                acc.check("invariant.zero_meet_forces_orthogonal", orthogonal(q, h, tol))
+        draws = [(rng.matrix(shape), rng.subprojection(h), rng.matrix(shape)) for _ in range(trials)]
+        s, q = (snap(Element(shape, np.array([d[k] for d in draws]))) for k in (0, 2))
+        _stacked(acc, trials, lambda acc, tol, *d: _invariant_trials(acc, tol, h, *d), tol,
+                 sym_from_proj(s), stack([d[1] for d in draws]), q)
     found_all = True
     for _ in range(trials):
         h = rng.projection(shape)
@@ -650,6 +677,16 @@ def invariant_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, t
                 break
         found_all = found_all and found
     acc.check("invariant.noncentral_counterexample_found", found_all)
+
+
+def _invariant_trials(acc: Batch, tol: Tolerances, h: Projection, s: Symmetry, p0: Projection,
+                      q: Projection) -> None:
+    p = as_projection(quad(s, p0), tol=tol)
+    back = as_projection(quad(s, p), tol=tol)
+    acc.observe("invariant.conjugate_into_center_round_trip", dist(back, p0), tol.proj)
+    acc.observe("invariant.conjugated_subprojection_stays_below",
+                _pos(-(h - p).eigenvalues().min(axis=-1)), tol.psd)
+    acc.check("invariant.zero_meet_forces_orthogonal", orthogonal(q, h, tol), where=meet(q, h, tol).rank() == 0)
 
 
 def cover_sup_checks(acc: Accumulator, p: Projection, rng: XorShift64Star, tol: Tolerances) -> None:
@@ -668,15 +705,16 @@ def cover_sup_checks(acc: Accumulator, p: Projection, rng: XorShift64Star, tol: 
             subs.append(span(shape, v[:, [i]], tol))
     if p.rank() > 0:
         subs.append(p)
-    syms = [rng.symmetry(shape) for _ in range(24)]
+    syms = sym_from_proj(snap(Element(shape, np.array([rng.matrix(shape) for _ in range(24)]))))
     acc.check("cover_sup.zero_cover_for_zero", (p.rank() == 0) == (gp.rank() == 0))
-    current = zero(shape)
-    for s in syms:
-        for q in subs:
-            c = quad(s, q)
-            below = float(np.min((gp - c).eigenvalues()))
-            acc.observe("cover_sup.conjugate_below_cover", max(0.0, -below), tol.psd)
-            current = current + c
+    current = np.zeros((shape.dim, shape.dim))
+    if subs:  # every symmetry with every subprojection, in that order
+        c = quad(syms[np.repeat(np.arange(24), len(subs))], stack(subs * 24))
+        below = _pos(-(gp - c).eigenvalues().min(axis=-1))
+        acc.observe("cover_sup.conjugate_below_cover", np.max(below), tol.psd)
+        for x in c.data:
+            current = current + x
+    current = Element._built(shape, current)
     if subs:
         total = central_cover(current, tol)
         joined = join(carrier(current, tol), gp, tol)

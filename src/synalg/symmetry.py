@@ -7,7 +7,8 @@ symmetries), never the output of a generic solver, so tests can pin the
 formulas themselves.
 
 Degenerate inputs (zero projections, equal pairs) are accepted
-everywhere; the contracts specialize instead of erroring.
+everywhere; the contracts specialize instead of erroring.  On stacks (see
+`core`) a precondition fails if it fails for any member.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ExchangeWitness:
         return dist(quad(self.s, self.e), self.f)
 
     def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.residual() <= tol.proj
+        return bool(np.all(self.residual() <= tol.proj))
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ class PerspectivityWitness:
         }
 
     def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return all(r <= tol.proj for r in self.residuals(tol).values())
+        return all(np.all(r <= tol.proj) for r in self.residuals(tol).values())
 
 
 # -- elementary correspondences -----------------------------------------
@@ -94,7 +95,7 @@ def canonical_extension(t: Element, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     If t exchanges a pair of projections, so does the extension.
     """
     sq = jordan(t, t)
-    if opnorm(sq.data @ sq.data - sq.data) > tol.proj:
+    if np.any(opnorm(sq.data @ sq.data - sq.data) > tol.proj):
         raise PreconditionError("canonical_extension: t^2 is not a projection")
     return Symmetry(t.shape, t.data + np.eye(t.shape.dim) - sq.data, tol=tol)
 
@@ -123,17 +124,24 @@ def parallelogram_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAU
 
     Reduces to the Sasaki exchange of the pair (e, ortho(f)).
     """
+    return _parallelogram(e, f, tol)
+
+
+def _parallelogram(e: Projection, f: Projection, tol: Tolerances, m=None, j=None) -> ExchangeWitness:
+    """`parallelogram_exchange`, reusing meet(e, f) and join(e, f) when given."""
     s = exchange_efe_fef(e, ortho(f, tol), tol)
-    left = as_projection(e - meet(e, f, tol), tol=tol)
-    right = as_projection(join(e, f, tol) - f, tol=tol)
+    left = as_projection(e - (meet(e, f, tol) if m is None else m), tol=tol)
+    right = as_projection((join(e, f, tol) if j is None else j) - f, tol=tol)
     return ExchangeWitness(s, left, right)
 
 
 def complement_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
     """For complements e, f: the symmetry exchanging e with ortho(f)."""
-    if opnorm(meet(e, f, tol).data) > tol.proj or dist(join(e, f, tol), unit_projection(e.shape)) > tol.proj:
+    m = meet(e, f, tol)
+    j = None if np.any(opnorm(m.data) > tol.proj) else join(e, f, tol)
+    if j is None or np.any(dist(j, unit_projection(e.shape)) > tol.proj):
         raise PreconditionError("complement_exchange: e and f are not complements")
-    return parallelogram_exchange(e, f, tol).s
+    return _parallelogram(e, f, tol, m, j).s
 
 
 def related_witness(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness | None:
