@@ -190,8 +190,8 @@ def _fro(x: np.ndarray) -> np.ndarray:
 
 def _raise_over(res: np.ndarray, bound: float, exc: type, message: str) -> None:
     """Raise exc(message % r) for the first member whose residual r exceeds bound."""
-    if (over := np.ravel(res > bound)).any():
-        raise exc(message % np.ravel(res)[over][0])
+    if (over := res > bound).any():
+        raise exc(message % np.extract(over, res)[0])
 
 
 class EnvelopingElement:
@@ -439,9 +439,11 @@ def block_frame(a: Element) -> tuple[np.ndarray, np.ndarray]:
 def range_basis(p: Projection, inside: bool = True) -> np.ndarray:
     """Orthonormal columns spanning range(p), or range(1 - p) when not
     inside, grouped by block.  The members of a stack must share their
-    block ranks (the columns are chosen by the first member)."""
+    block ranks (ValueError otherwise)."""
     w, frame = block_frame(p)
     keep = (w > 0.5) == inside
+    if keep.ndim > 1 and (keep != keep[0]).any():
+        raise ValueError("the members of the stack have different block ranks")
     return frame[..., keep if keep.ndim == 1 else keep[0]]
 
 
@@ -456,27 +458,23 @@ def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     Stacked columns must share one layout (the same columns nonzero in each
     block, as `lattice` groups them): a zero column changes the SVD's last
     bits.  Members are grouped by kept rank, so each block is u u^T of the
-    kept columns alone, with operands in the memory order one matrix has.
+    kept columns alone.
     """
     cut = max(tol.rank, tol.zero)
-    flat = cols.ndim == 2
-    if flat:
-        cols, onto = cols[None], None if onto is None else onto[None]
-    out = np.zeros((len(cols), shape.dim, shape.dim))
+    out = np.zeros(cols.shape[:-2] + (shape.dim, shape.dim))
     for s in shape.slices():
-        m = cols[:, s] if onto is None else _t(onto[:, s]) @ cols[:, s]
+        m = cols[..., s, :] if onto is None else _t(onto[..., s, :]) @ cols[..., s, :]
         if m.any():
             u, sv, _ = np.linalg.svd(m, full_matrices=False)
-            keep = sv > cut
-            kept = None if flat else keep.sum(-1)
-            ranks = () if flat else set(kept.tolist())
-            for at in [kept == r for r in ranks] if len(ranks) > 1 else [slice(None)]:
-                ur = u[at][..., keep[at][0]]
+            kept = (sv > cut).sum(-1)
+            for r in set(kept.flat):  # sv descends, so the kept columns are the first r
+                at = ... if kept.ndim == 0 else kept == r
+                ur = u[at][..., np.arange(sv.shape[-1]) < r]
                 if onto is not None:
-                    ur = onto[at][:, s] @ ur
+                    ur = onto[at][..., s, :] @ ur
                 blk = ur @ _t(ur)
                 out[at, s, s] = 0.5 * (blk + _t(blk))
-    return Projection._built(shape, out[0] if flat else out, tol)
+    return Projection._built(shape, out, tol)
 
 
 def dist(x: EnvelopingElement, y: EnvelopingElement) -> float:
@@ -555,28 +553,20 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
     return vals[rows, order], vecs[rows, :, order].swapaxes(-1, -2)
 
 
-def _on_spectrum(fn, w: np.ndarray) -> np.ndarray:
-    """fn(w) for an array function, else fn of each eigenvalue in turn."""
-    try:
-        fw = fn(w)
-        if np.shape(fw) == w.shape:
-            return fw
-    except (TypeError, ValueError):
-        pass
-    return np.array([fn(x) for x in w.ravel()], dtype=float).reshape(w.shape)
-
-
 def spectral_map(a: Element, fn, cls=Element, tol: Tolerances = DEFAULT_TOL):
     """Apply a real function to the spectrum of a, blockwise.
 
-    fn maps an array of eigenvalues to an array of the same shape; a
-    function of one number is applied to each eigenvalue instead.  Write
-    max(x, 0) as np.where(x < 0.0, 0.0, x): np.maximum turns -0.0 into
-    +0.0, and the sign of a zero can reach a printed matrix.
+    A numpy ufunc, or a function defined in this package, is called once
+    per block on the array of its eigenvalues (over a whole stack); any
+    other function is called on each eigenvalue alone.  Write max(x, 0) as
+    np.where(x < 0.0, 0.0, x): np.maximum turns -0.0 into +0.0, and the
+    sign of a zero can reach a printed matrix.
     """
+    on_array = isinstance(fn, np.ufunc) or str(getattr(fn, "__module__", "")).startswith(f"{__package__}.")
     blocks = []
     for w, v in a.block_eig():
-        blk = (v * _on_spectrum(fn, w)[..., None, :]) @ _t(v)
+        fw = fn(w) if on_array else np.array([fn(x) for x in w.ravel()], dtype=float).reshape(w.shape)
+        blk = (v * fw[..., None, :]) @ _t(v)
         blocks.append(0.5 * (blk + _t(blk)))
     return cls._built(a.shape, block_diag(a.shape, blocks), tol)
 

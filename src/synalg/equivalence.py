@@ -244,9 +244,14 @@ def _orthogonal_pair_split(e: Projection, f: Projection, tol: Tolerances) -> Dec
     """Decomposition of an orthogonal pair via the greedy matched family."""
     pairs = _matched_rank_one_pairs(e, f, tol)
     shape = e.shape
-    e1 = as_projection(sum((w.e for w in pairs), zero(shape)), tol=tol)
-    f1 = as_projection(sum((w.f for w in pairs), zero(shape)), tol=tol)
-    s = family_additivity(pairs, tol=tol) if pairs else unit(shape)
+    if pairs:
+        e1 = as_projection(sum((w.e for w in pairs), zero(shape)), tol=tol)
+        f1 = as_projection(sum((w.f for w in pairs), zero(shape)), tol=tol)
+        s = family_additivity(pairs, tol=tol)
+    else:
+        e1 = as_projection(zero(shape), tol=tol)
+        f1 = as_projection(zero(shape), tol=tol)
+        s = unit(shape)
     e2 = as_projection(e - e1, tol=tol)
     f2 = as_projection(f - f1, tol=tol)
     return Decomposition(e1, e2, f1, f2, s, e, f)

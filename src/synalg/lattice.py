@@ -47,10 +47,10 @@ def _by_layout(fn, p: Projection, q: Projection) -> Projection:
     p, q = (x if x.data.ndim == 3 else Projection._raw(x.shape, np.broadcast_to(x.data, (m,) + x.data.shape))
             for x in (p, q))
     keys = np.concatenate([block_frame(p)[0] > 0.5, block_frame(q)[0] > 0.5], axis=-1)
-    keys = keys @ (1 << np.arange(keys.shape[-1]))
+    group = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
     out = np.empty(p.data.shape)
-    for key in np.unique(keys):
-        at = np.flatnonzero(keys == key)
+    for g in range(group.max() + 1):
+        at = np.flatnonzero(group == g)
         out[at] = fn(p[at], q[at]).data
     return Projection._raw(p.shape, out)
 
@@ -134,14 +134,21 @@ def center_basis(shape: ModelShape) -> list[CentralProjection]:
 
     Their 2^k sums enumerate the whole center, a boolean algebra.
     """
-    k = shape.nblocks
-    return [CentralProjection.from_mask(shape, [j == i for j in range(k)]) for i in range(k)]
+    out = []
+    for i in range(shape.nblocks):
+        mask = [j == i for j in range(shape.nblocks)]
+        out.append(CentralProjection.from_mask(shape, mask))
+    return out
 
 
 def center_elements(shape: ModelShape) -> list[CentralProjection]:
     """All 2^k central projections of the model."""
     k = shape.nblocks
-    return [CentralProjection.from_mask(shape, [bits >> j & 1 == 1 for j in range(k)]) for bits in range(1 << k)]
+    out = []
+    for bits in range(1 << k):
+        mask = [(bits >> j) & 1 == 1 for j in range(k)]
+        out.append(CentralProjection.from_mask(shape, mask))
+    return out
 
 
 def central_cover(a: Element, tol: Tolerances = DEFAULT_TOL) -> CentralProjection:

@@ -124,24 +124,19 @@ def parallelogram_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAU
 
     Reduces to the Sasaki exchange of the pair (e, ortho(f)).
     """
-    return _parallelogram(e, f, tol)
-
-
-def _parallelogram(e: Projection, f: Projection, tol: Tolerances, m=None, j=None) -> ExchangeWitness:
-    """`parallelogram_exchange`, reusing meet(e, f) and join(e, f) when given."""
     s = exchange_efe_fef(e, ortho(f, tol), tol)
-    left = as_projection(e - (meet(e, f, tol) if m is None else m), tol=tol)
-    right = as_projection((join(e, f, tol) if j is None else j) - f, tol=tol)
+    left = as_projection(e - meet(e, f, tol), tol=tol)
+    right = as_projection(join(e, f, tol) - f, tol=tol)
     return ExchangeWitness(s, left, right)
 
 
 def complement_exchange(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> Symmetry:
-    """For complements e, f: the symmetry exchanging e with ortho(f)."""
-    m = meet(e, f, tol)
-    j = None if np.any(opnorm(m.data) > tol.proj) else join(e, f, tol)
-    if j is None or np.any(dist(j, unit_projection(e.shape)) > tol.proj):
+    """For complements e, f: the symmetry exchanging e with ortho(f), which
+    is the symmetry of `parallelogram_exchange` (its pair is e, ortho(f))."""
+    if np.any(opnorm(meet(e, f, tol).data) > tol.proj) or np.any(
+            dist(join(e, f, tol), unit_projection(e.shape)) > tol.proj):
         raise PreconditionError("complement_exchange: e and f are not complements")
-    return _parallelogram(e, f, tol, m, j).s
+    return exchange_efe_fef(e, ortho(f, tol), tol)
 
 
 def related_witness(e: Projection, f: Projection, tol: Tolerances = DEFAULT_TOL) -> ExchangeWitness | None:

@@ -22,7 +22,9 @@ from synalg.core import (
     leq,
     opnorm,
     quad,
+    range_basis,
     signum,
+    spectral_map,
     stack,
     unit_projection,
     zero_projection,
@@ -34,7 +36,7 @@ from synalg.rng import XorShift64Star, snap
 from synalg.symmetry import exchange_efe_fef
 
 SIZES = range(1, 17)
-SHAPES = ["2,3", "4", "1,1,1,1", "8,8"]
+SHAPES = ["2,3", "4", "1,1,1,1", "8,8", "20,20"]  # 20,20: layouts longer than 64 columns
 MEMBERS = 14
 
 
@@ -129,6 +131,25 @@ def test_member_of_stacked_result_equals_op_on_member(op, shape):
     stacked = OPS[op](p, q, a, b)
     for i in range(MEMBERS):
         _same(stacked, i, OPS[op](p[i], q[i], a[i], b[i]))
+
+
+def test_range_basis_rejects_a_stack_of_different_block_ranks():
+    """Members whose kept columns differ must not share the first member's
+    columns; `lattice` groups them first, and a wrong grouping raises."""
+    shape = ModelShape((2, 3))
+    one, none = unit_projection(shape), zero_projection(shape)
+    assert range_basis(stack([one, one])).shape == (2, 5, 5)
+    with pytest.raises(ValueError, match="different block ranks"):
+        range_basis(stack([one, none]))
+
+
+def test_spectral_map_calls_an_outside_function_on_each_eigenvalue():
+    """Only numpy ufuncs and this package's functions get the eigenvalue array."""
+    p, q, a, b = _inputs("2,3")
+    seen = []
+    out = spectral_map(a, lambda x: seen.append(np.ndim(x)) or abs(x))
+    assert seen == [0] * (MEMBERS * 5)
+    assert np.array_equal(out.data, spectral_map(a, np.abs).data)
 
 
 @pytest.mark.parametrize("shape", ["2,3", "4", "1,1,1,1"])
