@@ -566,6 +566,4 @@ def oml_from_projections(ps: list[Projection], cap: int = 64,
     leqm = _close(data[:, None] @ data[None] - data[:, None], 10 * tol.proj)
     # the pool is closed under ortho, so every row has a match; take the first
     ortho = np.argmax(_close(data[None] - mortho(stack(pool), tol).data[:, None], 10 * tol.proj), axis=1)
-    bottom = next(i for i in range(m) if pool[i].rank() == 0)
-    top = next(i for i in range(m) if pool[i].rank() == shape.dim)
-    return FiniteOml(names, leqm, ortho, bottom, top), pool
+    return FiniteOml(names, leqm, ortho, 0, 1), pool
