@@ -16,6 +16,8 @@ stack of m members of one shape (`stack`; `x[i]` and `x[idx]` take a member
 or a substack).  Operations broadcast over it, one LAPACK call per block
 for the stack, and member i of a result equals the operation on member i
 bit for bit.  Scalar results (norms, ranks, order tests) become arrays.
+`span` and `range_basis` take one matrix, and the lattice operations built
+on them map over members.  `spectral_map` acts on eigenvalue arrays.
 
 Validation.  The public constructors (`EnvelopingElement(...)`,
 `Element(...)`, `Projection(...)`, `Symmetry(...)`), which take matrices
@@ -438,13 +440,11 @@ def block_frame(a: Element) -> tuple[np.ndarray, np.ndarray]:
 
 def range_basis(p: Projection, inside: bool = True) -> np.ndarray:
     """Orthonormal columns spanning range(p), or range(1 - p) when not
-    inside, grouped by block.  The members of a stack must share their
-    block ranks (ValueError otherwise)."""
+    inside, grouped by block.  One projection, not a stack (ValueError)."""
+    if p.data.ndim != 2:
+        raise ValueError("range_basis takes one projection, not a stack")
     w, frame = block_frame(p)
-    keep = (w > 0.5) == inside
-    if keep.ndim > 1 and (keep != keep[0]).any():
-        raise ValueError("the members of the stack have different block ranks")
-    return frame[..., keep if keep.ndim == 1 else keep[0]]
+    return frame[:, (w > 0.5) == inside]
 
 
 def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
@@ -454,26 +454,21 @@ def span(shape: ModelShape, cols: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     tol.rank (floored at tol.zero).  Given orthonormal columns `onto`, the
     columns are projected onto range(onto) and the SVD runs in its
     coordinates, so the span stays in that range however small its values.
-
-    Stacked columns must share one layout (the same columns nonzero in each
-    block, as `lattice` groups them): a zero column changes the SVD's last
-    bits.  Members are grouped by kept rank, so each block is u u^T of the
-    kept columns alone.
+    One matrix, not a stack (ValueError).
     """
+    if cols.ndim != 2:
+        raise ValueError("span takes one matrix of columns, not a stack")
     cut = max(tol.rank, tol.zero)
-    out = np.zeros(cols.shape[:-2] + (shape.dim, shape.dim))
+    out = np.zeros((shape.dim, shape.dim))
     for s in shape.slices():
-        m = cols[..., s, :] if onto is None else _t(onto[..., s, :]) @ cols[..., s, :]
+        m = cols[s] if onto is None else onto[s].T @ cols[s]
         if m.any():
             u, sv, _ = np.linalg.svd(m, full_matrices=False)
-            kept = (sv > cut).sum(-1)
-            for r in set(kept.flat):  # sv descends, so the kept columns are the first r
-                at = ... if kept.ndim == 0 else kept == r
-                ur = u[at][..., np.arange(sv.shape[-1]) < r]
-                if onto is not None:
-                    ur = onto[at][..., s, :] @ ur
-                blk = ur @ _t(ur)
-                out[at, s, s] = 0.5 * (blk + _t(blk))
+            u = u[:, sv > cut]
+            if onto is not None:
+                u = onto[s] @ u
+            blk = u @ u.T
+            out[s, s] = 0.5 * (blk + blk.T)
     return Projection._built(shape, out, tol)
 
 
@@ -556,17 +551,14 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
 def spectral_map(a: Element, fn, cls=Element, tol: Tolerances = DEFAULT_TOL):
     """Apply a real function to the spectrum of a, blockwise.
 
-    A numpy ufunc, or a function defined in this package, is called once
-    per block on the array of its eigenvalues (over a whole stack); any
-    other function is called on each eigenvalue alone.  Write max(x, 0) as
+    fn is called once per block on the array of its eigenvalues (over a
+    whole stack), so it must act entrywise on arrays.  Write max(x, 0) as
     np.where(x < 0.0, 0.0, x): np.maximum turns -0.0 into +0.0, and the
     sign of a zero can reach a printed matrix.
     """
-    on_array = isinstance(fn, np.ufunc) or str(getattr(fn, "__module__", "")).startswith(f"{__package__}.")
     blocks = []
     for w, v in a.block_eig():
-        fw = fn(w) if on_array else np.array([fn(x) for x in w.ravel()], dtype=float).reshape(w.shape)
-        blk = (v * fw[..., None, :]) @ _t(v)
+        blk = (v * fn(w)[..., None, :]) @ _t(v)
         blocks.append(0.5 * (blk + _t(blk)))
     return cls._built(a.shape, block_diag(a.shape, blocks), tol)
 

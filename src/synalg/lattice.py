@@ -20,7 +20,6 @@ from .core import (
     Projection,
     Tolerances,
     as_projection,
-    block_frame,
     commutes,
     dist,
     opnorm,
@@ -28,6 +27,7 @@ from .core import (
     quad,
     range_basis,
     span,
+    stack,
 )
 
 
@@ -36,34 +36,27 @@ def ortho(p: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     return Projection._built(p.shape, np.eye(p.shape.dim) - p.data, tol)
 
 
-def _by_layout(fn, p: Projection, q: Projection) -> Projection:
-    """fn(p, q) for single projections; for stacks, fn once per group of
-    members whose blockwise ranks of p and q agree, so that their range
-    bases share one column layout (see `core.span`)."""
+def _per_member(fn, p: Projection, q: Projection) -> Projection:
+    """fn(p, q) for single projections; for stacks, the stack of fn on each
+    member, where an unstacked operand pairs with every member."""
     p._coerce(q)
     if p.data.ndim == q.data.ndim == 2:
         return fn(p, q)
     m = max(len(x.data) for x in (p, q) if x.data.ndim == 3)
-    p, q = (x if x.data.ndim == 3 else Projection._raw(x.shape, np.broadcast_to(x.data, (m,) + x.data.shape))
-            for x in (p, q))
-    keys = np.concatenate([block_frame(p)[0] > 0.5, block_frame(q)[0] > 0.5], axis=-1)
-    group = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
-    out = np.empty(p.data.shape)
-    for g in range(group.max() + 1):
-        at = np.flatnonzero(group == g)
-        out[at] = fn(p[at], q[at]).data
-    return Projection._raw(p.shape, out)
+    for x in (p, q):
+        x.block_eig()  # one eigh per block for the stack; its members share it
+    return stack([fn(*(x[i] if x.data.ndim == 3 else x for x in (p, q))) for i in range(m)])
 
 
 def join(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Least upper bound: the projection onto the span of both ranges."""
-    return _by_layout(lambda p, q: span(p.shape, np.concatenate([range_basis(p), range_basis(q)], -1), tol),
-                      p, q)
+    return _per_member(lambda p, q: span(p.shape, np.concatenate([range_basis(p), range_basis(q)], -1), tol),
+                       p, q)
 
 
 def meet(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Greatest lower bound: the complement of the span of both complements."""
-    return _by_layout(lambda p, q: ortho(span(p.shape, np.concatenate(
+    return _per_member(lambda p, q: ortho(span(p.shape, np.concatenate(
         [range_basis(p, inside=False), range_basis(q, inside=False)], -1), tol), tol), p, q)
 
 
@@ -80,7 +73,7 @@ def compatible(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> b
 def sasaki(p: Projection, q: Projection, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Sasaki projection of q by p, onto p applied to range(q) (the range of
     p q p); lattice-theoretically p meet (ortho(p) join q)."""
-    return _by_layout(lambda p, q: span(p.shape, range_basis(q), tol, onto=range_basis(p)), p, q)
+    return _per_member(lambda p, q: span(p.shape, range_basis(q), tol, onto=range_basis(p)), p, q)
 
 
 class CentralProjection(Projection):
@@ -97,17 +90,13 @@ class CentralProjection(Projection):
 
     @classmethod
     def from_mask(cls, shape: ModelShape, mask) -> "CentralProjection":
-        """The central projection that is 1 on the blocks where mask is true;
-        a stack for an (m, k) mask, whose `block_mask` is then that array."""
+        """The central projection that is 1 on the blocks where mask is true."""
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape[-1:] != (shape.nblocks,):
-            raise ValueError(f"mask has {mask.shape[-1]} entries for {shape.nblocks} blocks")
-        out = cls._built(shape, np.eye(shape.dim) * np.repeat(mask, shape.blocks, axis=-1)[..., None, :])
-        object.__setattr__(out, "block_mask", tuple(mask.tolist()) if mask.ndim == 1 else mask)
+        if mask.shape != (shape.nblocks,):
+            raise ValueError(f"mask has shape {mask.shape} for {shape.nblocks} blocks")
+        out = cls._built(shape, np.eye(shape.dim) * np.repeat(mask, shape.blocks))
+        object.__setattr__(out, "block_mask", tuple(mask.tolist()))
         return out
-
-    def __getitem__(self, i):
-        return self.from_mask(self.shape, self.block_mask[i])
 
 
 def _central_mask(p: Projection, tol: Tolerances) -> tuple[bool, ...] | None:
@@ -157,7 +146,7 @@ def central_cover(a: Element, tol: Tolerances = DEFAULT_TOL) -> CentralProjectio
     Blockwise: a block contributes iff a's restriction to it is nonzero.
     """
     mask = [opnorm(a.block(i)) > tol.rank for i in range(a.shape.nblocks)]
-    return CentralProjection.from_mask(a.shape, np.array(mask).T)
+    return CentralProjection.from_mask(a.shape, mask)
 
 
 def centrally_orthogonal(ps: list[Projection], tol: Tolerances = DEFAULT_TOL) -> list[CentralProjection] | None:

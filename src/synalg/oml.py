@@ -38,7 +38,6 @@ from .core import (
     SynalgError,
     Tolerances,
     opnorm,
-    stack,
     unit_projection,
     zero_projection,
 )
@@ -549,21 +548,16 @@ def oml_from_projections(ps: list[Projection], cap: int = 64,
     # two elements of an earlier sweep give is already in the pool, so only newer pairs run.
     while done < len(pool):
         before = len(pool)
-        snapshot = stack(pool)
-        i, j = np.triu_indices(before, 1)
-        i, j = i[j >= done], j[j >= done]
-        orthos = mortho(snapshot, tol)
-        joins, meets = mjoin(snapshot[i], snapshot[j], tol), mmeet(snapshot[i], snapshot[j], tol)
-        for k in range(before):
-            if k >= done:
-                add(orthos[k])
-            for pair in np.flatnonzero(i == k):
-                add(joins[pair])
-                add(meets[pair])
+        for i in range(before):
+            if i >= done:
+                add(mortho(pool[i], tol))
+            for j in range(max(i + 1, done), before):
+                add(mjoin(pool[i], pool[j], tol))
+                add(mmeet(pool[i], pool[j], tol))
         done = before
     m = len(pool)
     names = tuple(f"p{i}" for i in range(m))
     leqm = _close(data[:, None] @ data[None] - data[:, None], 10 * tol.proj)
     # the pool is closed under ortho, so every row has a match; take the first
-    ortho = np.argmax(_close(data[None] - mortho(stack(pool), tol).data[:, None], 10 * tol.proj), axis=1)
+    ortho = np.argmax(_close(data[None] - (np.eye(shape.dim) - data)[:, None], 10 * tol.proj), axis=1)
     return FiniteOml(names, leqm, ortho, 0, 1), pool

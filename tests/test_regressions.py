@@ -98,7 +98,7 @@ def test_witness_file_case_passes(case):
 # tol.rank: sqrt(2) sin(t/2) for the join and meet of the swept plane, and
 # the cosine for the Sasaki projection.
 #
-# Two bands are not covered, and are recorded here (ROADMAP item 5):
+# Two bands are not covered, and are recorded here (ROADMAP item 1):
 # - `orthogonal` tests |pq| <= tol.proj (1e-8) while the Sasaki rank keeps a
 #   cosine above tol.rank (1e-10), so for 1e-10 < cos <= 1e-8 two lines count
 #   as orthogonal and still have a Sasaki projection of rank 1 (k = 9 below).

@@ -8,8 +8,6 @@ bit-equal to `np.linalg.norm(x, 2)`, and a counting guard keeps the
 trusted paths from drifting back to full validation.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -62,8 +60,8 @@ def trusted_results(shape: ModelShape, seed: int):
     p, q = rng.projection(shape), rng.projection(shape)
     s = rng.symmetry(shape)
     pos = absolute(a)
-    yield "spectral_map", spectral_map(a, math.tanh)
-    yield "spectral_map_projection", spectral_map(a, lambda x: 1.0 if x > 0.0 else 0.0, cls=Projection)
+    yield "spectral_map", spectral_map(a, np.tanh)
+    yield "spectral_map_projection", spectral_map(a, lambda x: np.where(x > 0.0, 1.0, 0.0), cls=Projection)
     yield "carrier", carrier(a)
     yield "as_projection", as_projection(a)
     yield "as_symmetry", as_symmetry(a)
@@ -138,13 +136,13 @@ def test_trusted_path_still_checks_finiteness_and_drift():
     a = XorShift64Star(9).element(ModelShape((2, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            spectral_map(a, lambda x: math.inf)
+            spectral_map(a, lambda x: np.full_like(x, np.inf))
         with pytest.raises(ValueError, match="finite"):
             1e308 * (a @ a) * 1e308
     with pytest.raises(DriftError, match="not a projection"):
-        spectral_map(a, lambda x: 0.5, cls=Projection)
+        spectral_map(a, lambda x: np.full_like(x, 0.5), cls=Projection)
     with pytest.raises(DriftError, match="not a symmetry"):
-        spectral_map(a, lambda x: 0.5, cls=Symmetry)
+        spectral_map(a, lambda x: np.full_like(x, 0.5), cls=Symmetry)
 
 
 def test_opnorm_bit_equal_to_norm2():

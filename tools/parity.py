@@ -11,9 +11,11 @@ and exits 1 if any differ::
     python3 tools/parity.py OLD/src NEW/src --import-times 12
 
 The command set is ``verify`` at seeds 42 and 7 on shapes 2,3, 4 and
-1,1,1,1; ``verify --seed 3 --trials 6 --tol proj=1e-15``; the 28 file-golden
-commands of ``tests/test_golden.py`` on the inputs its ``write_inputs``
-builds; and ``oml verify`` on ``oml gen boolean 6`` and ``oml gen mo 31``.
+1,1,1,1, and at seed 42 on 8,8 and 5,7,3; ``verify --seed 3 --trials 6
+--tol proj=1e-15``; the 28 file-golden commands of ``tests/test_golden.py``
+on the inputs its ``write_inputs`` builds; and ``oml verify`` and ``oml
+report`` on ``oml gen boolean 6`` (pair a, b) and ``oml gen mo 31`` (pair
+a1, a2).
 ``--ops DIR`` adds every call of a ``bench/prepare.py`` output directory,
 run inside DIR.  ``--import-times N`` times ``import synalg.cli`` in N fresh
 interpreters per tree, alternating, and prints the median and quartiles.
@@ -37,8 +39,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY = [["verify", "--seed", seed, "--shape", shape]
           for seed in ("42", "7") for shape in ("2,3", "4", "1,1,1,1")]
+VERIFY += [["verify", "--seed", "42", "--shape", shape] for shape in ("8,8", "5,7,3")]
 VERIFY.append(["verify", "--seed", "3", "--trials", "6", "--tol", "proj=1e-15"])
-OML = {"boolean6.oml": ["boolean", "6"], "mo31.oml": ["mo", "31"]}
+OML = {"boolean6.oml": (["boolean", "6"], ["a", "b"]), "mo31.oml": (["mo", "31"], ["a1", "a2"])}
 WRITE_INPUTS = """
 import json, sys
 from pathlib import Path
@@ -70,9 +73,9 @@ def commands(work: Path, ops_dirs: list[Path]) -> list[tuple[list[str], Path]]:
     for _, args in json.loads(out):
         k = 2 if args[0] == "witness" else 1
         cmds.append((args[:k] + [f"{a}.mat" for a in args[k:]], work))
-    for name, gen in OML.items():
+    for name, (gen, pair) in OML.items():
         (work / name).write_text(run(src, ["oml", "gen", *gen], work)[1], encoding="ascii")
-        cmds.append((["oml", "verify", name], work))
+        cmds += [(["oml", "verify", name], work), (["oml", "report", name, *pair], work)]
     for d in ops_dirs:
         spec = json.loads((d / "ops.json").read_text(encoding="ascii"))
         cmds.extend((call["argv"], d) for op in spec["ops"] for call in op["calls"])
