@@ -319,18 +319,14 @@ def cmd_lattice(args) -> int:
     ps = _load_all(args.files, itertools.repeat("projection"))
     for i, p in enumerate(ps):
         print(f"GAMMA p{i} mask " + "".join("1" if b else "0" for b in central_cover(p).block_mask))
-    for i in range(len(ps)):
-        for j in range(len(ps)):
-            if i == j:
-                continue
-            print(f"PAIR p{i} p{j} meet_rank {meet(ps[i], ps[j]).rank()} "
-                  f"join_rank {join(ps[i], ps[j]).rank()} "
-                  f"sasaki_rank {sasaki(ps[i], ps[j]).rank()}")
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            _print_matrix(f"meet_p{i}_p{j}", meet(ps[i], ps[j]))
-            _print_matrix(f"join_p{i}_p{j}", join(ps[i], ps[j]))
-            _print_matrix(f"sasaki_p{i}_p{j}", sasaki(ps[i], ps[j]))
+    pairs = {}
+    for i, j in itertools.permutations(range(len(ps)), 2):
+        m, jn, s = pairs[i, j] = meet(ps[i], ps[j]), join(ps[i], ps[j]), sasaki(ps[i], ps[j])
+        print(f"PAIR p{i} p{j} meet_rank {m.rank()} join_rank {jn.rank()} sasaki_rank {s.rank()}")
+    for (i, j), ops in pairs.items():
+        if i < j:
+            for name, x in zip(("meet", "join", "sasaki"), ops):
+                _print_matrix(f"{name}_p{i}_p{j}", x)
     return 0
 
 

@@ -217,7 +217,7 @@ class EnvelopingElement:
 
     @classmethod
     def _built(cls, shape: ModelShape, arr: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-        """Wrap an n x n array that this module built, without copying it.
+        """Wrap an n x n array that this package built, without copying it.
 
         The array is fresh or a view of read-only data (the transpose of an
         element's own array).  The caller guarantees zeros outside the
@@ -498,8 +498,14 @@ def quad(a: Element, b: Element) -> Element:
 
 def leq(a: Element, b: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Order relation: b - a is positive semidefinite up to tol.psd."""
-    d = b - a
-    return _out(d.eigenvalues().min(axis=-1) >= -tol.psd)
+    return order_gap(b - a) <= tol.psd
+
+
+def order_gap(a: Element) -> float:
+    """How far a is from positive: max(0, -lambda_min(a)), per member
+    (+0.0 for a positive a, never -0.0)."""
+    low = -a.eigenvalues().min(axis=-1)
+    return _out(np.where(low > 0.0, low, 0.0))
 
 
 def order_unit_norm(a: Element) -> float:
@@ -541,11 +547,7 @@ def eig_sym(a: Element) -> tuple[np.ndarray, np.ndarray]:
     """
     vals, vecs = block_frame(a)
     order = np.argsort(vals, axis=-1, kind="stable")
-    if vals.ndim == 1:
-        return vals[order], vecs[:, order]
-    rows = np.arange(len(vals))[:, None]
-    # indexed as [member, column, row]: column-major members, as vecs[:, order] is
-    return vals[rows, order], vecs[rows, :, order].swapaxes(-1, -2)
+    return np.take_along_axis(vals, order, -1), np.take_along_axis(vecs, order[..., None, :], -1)
 
 
 def spectral_map(a: Element, fn, cls=Element, tol: Tolerances = DEFAULT_TOL):

@@ -29,6 +29,7 @@ from .core import (
     commutes,
     dist,
     opnorm,
+    order_gap,
     quad,
     span,
     unit,
@@ -88,11 +89,9 @@ class ComparabilityResult:
         fh = Element(self.e.shape, self.f.data @ self.h.data)
         ec = Element(self.e.shape, self.e.data @ (one - self.h.data))
         fc = Element(self.e.shape, self.f.data @ (one - self.h.data))
-        d1 = (fh - quad(self.s, eh)).eigenvalues()
-        d2 = (ec - quad(self.s, fc)).eigenvalues()
         return {
-            "seh_below_fh": max(0.0, -float(np.min(d1))),
-            "sfc_below_ec": max(0.0, -float(np.min(d2))),
+            "seh_below_fh": order_gap(fh - quad(self.s, eh)),
+            "sfc_below_ec": order_gap(ec - quad(self.s, fc)),
         }
 
     def verify(self, tol: Tolerances = DEFAULT_TOL) -> bool:

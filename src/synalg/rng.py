@@ -4,11 +4,6 @@ The generator is xorshift64* (Marsaglia xorshift with a multiplicative
 output scramble), seeded through one round of splitmix64 so that seed 0
 is usable.  It is implemented in plain integer arithmetic so reports
 reproduce across platforms for a fixed seed.
-
-A stacked suite draws its trials' inputs up front, in the order the trials
-would draw them: `matrix` is the data of an `element` draw, and `absolute`,
-`snap` and `sym_from_proj` finish a stack of them as `positive_element`,
-`projection` and `symmetry` finish one.
 """
 
 from __future__ import annotations
@@ -63,16 +58,14 @@ class XorShift64Star:
         return int(self.uniform() * n)
 
     # -- model-valued draws -------------------------------------------
-    def matrix(self, shape: ModelShape) -> np.ndarray:
-        """Data of a random symmetric element, entries uniform in [-1, 1] symmetrized."""
+    def element(self, shape: ModelShape) -> Element:
+        """Random element, entries uniform in [-1, 1] symmetrized: blocks (b + b^T) / 2
+        are exactly symmetric with exact zeros between them, so it skips validation."""
         blocks = []
         for b in shape.blocks:
             raw = np.array([[2.0 * self.uniform() - 1.0 for _ in range(b)] for _ in range(b)])
             blocks.append(0.5 * (raw + raw.T))
-        return block_diag(shape, blocks)
-
-    def element(self, shape: ModelShape) -> Element:
-        return Element(shape, self.matrix(shape))
+        return Element._built(shape, block_diag(shape, blocks))
 
     def positive_element(self, shape: ModelShape) -> Element:
         return absolute(self.element(shape))
@@ -85,7 +78,7 @@ class XorShift64Star:
         """
         a = self.element(shape)
         if rank is None:
-            return snap(a)
+            return spectral_map(a, lambda w: np.where(w > 0.0, 1.0, 0.0), cls=Projection)
         w, v = eig_sym(a)
         return span(shape, v[:, np.argsort(w)[::-1][:rank]])
 
@@ -97,9 +90,3 @@ class XorShift64Star:
         w, v = eig_sym(p)
         keep = [i for i in range(len(w)) if w[i] > 0.5 and self.uniform() < 0.5]
         return span(p.shape, v[:, keep])
-
-
-def snap(a: Element) -> Projection:
-    """The projection onto the positive eigenvectors of a: how `projection`
-    finishes its draw when no rank is given."""
-    return spectral_map(a, lambda w: np.where(w > 0.0, 1.0, 0.0), cls=Projection)

@@ -5,11 +5,12 @@ residuals into an accumulator, and reports one CHECK line per named
 property.  The same machinery backs the command-line `verify` run and the
 acceptance tests, which simply raise the trial counts.
 
-The straight-line trial loops run stacked (`_stacked`): the trials' inputs
-are drawn up front in the order the trials would draw them, each statement
-runs once over all trials (see `core` on stacks), and the observations are
-replayed trial by trial in statement order, as a loop over trials makes
-them.  Loops whose draws or branches depend on the trial's results stay.
+The straight-line trial loops run stacked (`_stacked`): each trial's
+inputs are drawn with the rng's own methods, in the order a loop over trials
+draws them, and stacked per position; each statement then runs once over all
+trials (see `core` on stacks), and the observations are replayed trial by
+trial in statement order, as a loop over trials makes them.  Loops whose
+draws or branches depend on the trial's results stay.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .core import (
     leq,
     neg_part,
     opnorm,
+    order_gap,
     order_unit_norm,
     pos_part,
     proj_from_sym,
@@ -95,7 +97,7 @@ from .oml import (
     verify_oml,
 )
 from .report import Accumulator, Batch, ReportLine
-from .rng import XorShift64Star, snap
+from .rng import XorShift64Star
 from .symmetry import (
     ExchangeWitness,
     PerspectivityWitness,
@@ -245,34 +247,29 @@ def orthogonal_family_witnesses(rng: XorShift64Star, shape: ModelShape, parts: i
 
 # -- stacked trials -------------------------------------------------------
 
-def _stacked(acc: Accumulator, trials: int, body, tol: Tolerances, *draws) -> None:
-    """Run body(batch, tol, *draws) once over the stacked draws of all trials
-    and replay what it observes into `acc`, trial by trial in statement order.
+def _stacked(acc: Accumulator, body, tol: Tolerances, draws: list[tuple]) -> None:
+    """Run body(batch, tol, *inputs) once over the trials' draws, stacked per
+    position, and replay what it observes into `acc`, trial by trial in
+    statement order.
 
     If the stacked run raises, the body runs on one trial at a time, so the
     error raised is the first in trial and statement order.
     """
+    inputs = [stack(d) for d in zip(*draws)]
     try:
-        batches = [Batch(body, tol, *draws)]
+        batches = [Batch(body, tol, *inputs)]
     except (SynalgError, ValueError):
-        batches = [Batch(body, tol, *(d[[t]] for d in draws)) for t in range(trials)]
-    acc.replay(batches, trials)
-
-
-def _pos(x):
-    """max(0.0, x) entrywise, as Python's max picks (0.0 for -0.0)."""
-    return np.where(x > 0.0, x, 0.0)
+        batches = [Batch(body, tol, *(c[[t]] for c in inputs)) for t in range(len(draws))]
+    acc.replay(batches, len(draws))
 
 
 # -- suites ---------------------------------------------------------------
 
 def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                      trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
-    # per trial: a, b, p, four positive elements, s
-    raw = np.array([[rng.matrix(shape) for _ in range(8)] for _ in range(trials)])
-    el = [Element(shape, raw[:, k]) for k in range(8)]
-    _stacked(acc, trials, _synalg_trials, tol, el[0], el[1], snap(el[2]), sym_from_proj(snap(el[7])),
-             *(absolute(x) for x in el[3:7]))
+    _stacked(acc, _synalg_trials, tol, [
+        (rng.element(shape), rng.element(shape), rng.projection(shape),
+         *(rng.positive_element(shape) for _ in range(4)), rng.symmetry(shape)) for _ in range(trials)])
     small = ModelShape((min(4, shape.blocks[0]),))
     for _ in range(min(trials, 10)):
         a = rng.element(small)
@@ -281,8 +278,7 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
         for bits in range(1 << small.dim):
             q = span(small, v[:, [i for i in range(small.dim) if bits >> i & 1]])
             if opnorm(a.data @ q.data - a.data) <= 1e-10 * (1 + order_unit_norm(a)):
-                below = float(np.min((q - car).eigenvalues()))
-                acc.observe("synalg.carrier_minimality", max(0.0, -below), tol.psd)
+                acc.observe("synalg.carrier_minimality", order_gap(q - car), tol.psd)
     singular = Element(ModelShape((2,)), [[1.0, 0.0], [0.0, 0.0]])
     try:
         inverse(singular)
@@ -295,13 +291,13 @@ def run_synalg_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
     acc.check("synalg.commutant_limit_smoke", stayed)
 
 
-def _synalg_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, p: Projection, s: Symmetry,
-                   *pos4: Element) -> None:
+def _synalg_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, p: Projection, x1: Element,
+                   x2: Element, x3: Element, x4: Element, s: Symmetry) -> None:
     shape = a.shape
     one = unit(shape)
-    acc.observe("synalg.square_positive", _pos(-np.min(jordan(a, a).eigenvalues(), axis=-1)), tol.psd)
+    acc.observe("synalg.square_positive", order_gap(jordan(a, a)), tol.psd)
     ap, bp = absolute(a), absolute(b)
-    acc.observe("synalg.quad_preserves_positive", _pos(-np.min(quad(ap, bp).eigenvalues(), axis=-1)), tol.psd)
+    acc.observe("synalg.quad_preserves_positive", order_gap(quad(ap, bp)), tol.psd)
     inside = quad(as_projection(ortho(p)), bp)
     supported = quad(p, a)
     acc.observe("synalg.annihilation", opnorm(supported.data @ inside.data),
@@ -320,9 +316,9 @@ def _synalg_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, p: Proje
         lam = lo + (hi - lo) * (i + 0.5) / 6
         direct = ortho(carrier(pos_part(a - scalar(shape, lam))))
         acc.observe("synalg.step_function_formula", dist(sr.at(lam), direct), tol.proj)
-    total = pos4[0]
-    cj = carrier(pos4[0])
-    for x in pos4[1:]:
+    total = x1
+    cj = carrier(x1)
+    for x in (x2, x3, x4):
         total = total + x
         cj = join(cj, carrier(x))
     acc.observe("synalg.carrier_of_sum", dist(carrier(total), cj), tol.proj)
@@ -349,20 +345,16 @@ def _synalg_trials(acc: Batch, tol: Tolerances, a: Element, b: Element, p: Proje
 def run_lattice_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                       trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one_p = unit_projection(shape)
-    # per trial: p, q, r, the subprojections of p and q, and the two interval draws
-    raw, subs = [], []
+    draws = []
     for _ in range(trials):
-        raw.append([rng.matrix(shape) for _ in range(3)])
-        subs.append([rng.subprojection(snap(Element(shape, m))) for m in raw[-1][:2]])
-        raw[-1] += [rng.matrix(shape), rng.matrix(shape)]
-    ps = [snap(Element(shape, m)) for m in np.array(raw).swapaxes(0, 1)]
-    _stacked(acc, trials, _lattice_trials, tol, *ps[:3], stack([x for x, _ in subs]),
-             stack([y for _, y in subs]), *ps[3:])
+        p, q, r = (rng.projection(shape) for _ in range(3))
+        draws.append((p, q, r, rng.subprojection(p), rng.subprojection(q),
+                      rng.projection(shape), rng.projection(shape)))
+    _stacked(acc, _lattice_trials, tol, draws)
     if shape.dim <= 4:
-        pq = np.array([[rng.matrix(shape) for _ in range(2)] for _ in range(trials)]).swapaxes(0, 1)
-        _stacked(acc, trials, lambda acc, tol, p, q: acc.observe(
+        _stacked(acc, lambda acc, tol, p, q: acc.observe(
             "lattice.join_matches_orthonormalization_oracle", dist(join(p, q), carrier(p + q)), 1e-8),
-                 tol, *(snap(Element(shape, m)) for m in pq))
+                 tol, [(rng.projection(shape), rng.projection(shape)) for _ in range(trials)])
     cents = center_elements(shape)
     for c1 in cents:
         for c2 in cents:
@@ -479,17 +471,13 @@ def gamma_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, trial
 def run_symmetry_suite(acc: Accumulator, rng: XorShift64Star, shape: ModelShape,
                        trials: int, tol: Tolerances = DEFAULT_TOL) -> None:
     one = unit(shape)
-    # per trial: a, b, s, e, f, p0, the subprojections of e and ortho(e), and sex
-    raw, es, subs = [], [], []
+    draws = []
     for _ in range(trials):
-        raw.append([rng.matrix(shape) for _ in range(6)])
-        es.append(snap(Element(shape, raw[-1][3])))
-        subs.append((rng.subprojection(es[-1]), rng.subprojection(ortho(es[-1]))))
-        raw[-1].append(rng.matrix(shape))
-    el = [Element(shape, m) for m in np.array(raw).swapaxes(0, 1)]
-    sym = [sym_from_proj(snap(el[k])) for k in (2, 6)]
-    _stacked(acc, trials, _symmetry_trials, tol, el[0], el[1], sym[0], stack(es), snap(el[4]), snap(el[5]),
-             stack([x for x, _ in subs]), stack([y for _, y in subs]), sym[1])
+        a, b, s = rng.element(shape), rng.element(shape), rng.symmetry(shape)
+        e, f, p0 = (rng.projection(shape) for _ in range(3))
+        draws.append((a, b, s, e, f, p0, rng.subprojection(e), rng.subprojection(ortho(e)),
+                      rng.symmetry(shape)))
+    _stacked(acc, _symmetry_trials, tol, draws)
     for _ in range(trials):
         pair = complement_pair(rng, shape)
         if pair is not None:
@@ -660,10 +648,8 @@ def invariant_checks(acc: Accumulator, rng: XorShift64Star, shape: ModelShape, t
     counterexample to the meet condition is found by search.
     """
     for h in center_elements(shape):
-        draws = [(rng.matrix(shape), rng.subprojection(h), rng.matrix(shape)) for _ in range(trials)]
-        s, q = (snap(Element(shape, np.array([d[k] for d in draws]))) for k in (0, 2))
-        _stacked(acc, trials, lambda acc, tol, *d: _invariant_trials(acc, tol, h, *d), tol,
-                 sym_from_proj(s), stack([d[1] for d in draws]), q)
+        _stacked(acc, lambda acc, tol, *d: _invariant_trials(acc, tol, h, *d), tol,
+                 [(rng.symmetry(shape), rng.subprojection(h), rng.projection(shape)) for _ in range(trials)])
     found_all = True
     for _ in range(trials):
         h = rng.projection(shape)
@@ -684,8 +670,7 @@ def _invariant_trials(acc: Batch, tol: Tolerances, h: Projection, s: Symmetry, p
     p = as_projection(quad(s, p0), tol=tol)
     back = as_projection(quad(s, p), tol=tol)
     acc.observe("invariant.conjugate_into_center_round_trip", dist(back, p0), tol.proj)
-    acc.observe("invariant.conjugated_subprojection_stays_below",
-                _pos(-(h - p).eigenvalues().min(axis=-1)), tol.psd)
+    acc.observe("invariant.conjugated_subprojection_stays_below", order_gap(h - p), tol.psd)
     acc.check("invariant.zero_meet_forces_orthogonal", orthogonal(q, h, tol), where=meet(q, h, tol).rank() == 0)
 
 
@@ -705,13 +690,12 @@ def cover_sup_checks(acc: Accumulator, p: Projection, rng: XorShift64Star, tol: 
             subs.append(span(shape, v[:, [i]], tol))
     if p.rank() > 0:
         subs.append(p)
-    syms = sym_from_proj(snap(Element(shape, np.array([rng.matrix(shape) for _ in range(24)]))))
+    syms = stack([rng.symmetry(shape) for _ in range(24)])
     acc.check("cover_sup.zero_cover_for_zero", (p.rank() == 0) == (gp.rank() == 0))
     current = np.zeros((shape.dim, shape.dim))
     if subs:  # every symmetry with every subprojection, in that order
         c = quad(syms[np.repeat(np.arange(24), len(subs))], stack(subs * 24))
-        below = _pos(-(gp - c).eigenvalues().min(axis=-1))
-        acc.observe("cover_sup.conjugate_below_cover", np.max(below), tol.psd)
+        acc.observe("cover_sup.conjugate_below_cover", np.max(order_gap(gp - c)), tol.psd)
         for x in c.data:
             current = current + x
     current = Element._built(shape, current)

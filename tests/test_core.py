@@ -42,6 +42,7 @@ from synalg import (
     unit,
     zero,
 )
+from synalg.core import order_gap
 from synalg.rng import XorShift64Star
 
 SH2 = ModelShape((2,))
@@ -118,6 +119,20 @@ def test_leq_examples():
     assert not leq(E, F)
     with pytest.raises(ShapeMismatchError):
         jordan(E, Projection(SH3, np.eye(3)))
+
+
+def test_order_gap():
+    """max(0, -lambda_min): +0.0, never -0.0, on positive elements (zero
+    included), and Python's max(0.0, -min) on random elements."""
+    rng = XorShift64Star(17)
+    sh = ModelShape((2, 3))
+    for x in (zero(SH2), E, F, unit(SH2), absolute(rng.element(sh)), rng.projection(sh)):
+        assert math.copysign(1.0, order_gap(x)) == 1.0 and order_gap(x) == 0.0
+    assert order_gap(-1.0 * unit(SH2)) == 1.0
+    assert order_gap(F - E) == pytest.approx(ISQ2)  # F - E has eigenvalues +-1/sqrt(2)
+    for _ in range(50):
+        a = rng.element(sh)
+        assert order_gap(a).hex() == max(0.0, -float(np.min(a.eigenvalues()))).hex()
 
 
 def test_eig_sym_trivial_cases():

@@ -23,6 +23,7 @@ from synalg.core import (
     jordan,
     leq,
     opnorm,
+    order_gap,
     quad,
     range_basis,
     signum,
@@ -34,7 +35,7 @@ from synalg.core import (
 from synalg import suites
 from synalg.lattice import central_cover, join, meet, ortho, sasaki
 from synalg.report import Batch
-from synalg.rng import XorShift64Star, snap
+from synalg.rng import XorShift64Star
 from synalg.symmetry import exchange_efe_fef
 
 SIZES = range(1, 17)
@@ -74,13 +75,13 @@ def _inputs(shape_text, seed=5):
     elements a, b and one unstacked projection r."""
     shape = ModelShape(tuple(int(b) for b in shape_text.split(",")))
     rng = XorShift64Star(seed)
-    ps = [snap(rng.element(shape)) for _ in range(MEMBERS - 3)]
-    qs = [snap(rng.element(shape)) for _ in range(MEMBERS - 3)]
+    ps = [rng.projection(shape) for _ in range(MEMBERS - 3)]
+    qs = [rng.projection(shape) for _ in range(MEMBERS - 3)]
     ps += [zero_projection(shape), unit_projection(shape), ps[0]]
     qs += [qs[1], zero_projection(shape), ps[0]]
     a = stack([rng.element(shape) for _ in range(MEMBERS)])
     b = stack([rng.element(shape) for _ in range(MEMBERS)])
-    return stack(ps), stack(qs), a, b, snap(rng.element(shape))
+    return stack(ps), stack(qs), a, b, rng.projection(shape)
 
 
 def _same(stacked, i, single):
@@ -113,6 +114,7 @@ OPS = {
     "opnorm": lambda p, q, a, b, r: opnorm(a.data @ b.data),
     "dist": lambda p, q, a, b, r: dist(a, b),
     "leq": lambda p, q, a, b, r: leq(meet(p, q), p),
+    "order_gap": lambda p, q, a, b, r: order_gap(a),
     "exchange_efe_fef": lambda p, q, a, b, r: exchange_efe_fef(p, q),
 }
 

@@ -60,6 +60,12 @@ def trusted_results(shape: ModelShape, seed: int):
     p, q = rng.projection(shape), rng.projection(shape)
     s = rng.symmetry(shape)
     pos = absolute(a)
+    yield "rng.element", a
+    yield "rng.projection", p
+    yield "rng.projection_rank", rng.projection(shape, rank=1)
+    yield "rng.positive_element", rng.positive_element(shape)
+    yield "rng.symmetry", s
+    yield "rng.subprojection", rng.subprojection(p)
     yield "spectral_map", spectral_map(a, np.tanh)
     yield "spectral_map_projection", spectral_map(a, lambda x: np.where(x > 0.0, 1.0, 0.0), cls=Projection)
     yield "carrier", carrier(a)
@@ -184,8 +190,10 @@ def test_no_revalidation_on_trusted_paths(monkeypatch):
     proj_from_sym(sym_from_proj(p))
     sr = spectral_resolution(a)
     sr.at(0.0), sr.reconstruct()
+    rng.element(sh), rng.projection(sh), rng.projection(sh, rank=2), rng.positive_element(sh)
+    rng.symmetry(sh), rng.subprojection(p)
     assert counts == {"block_zeros": 0, "norm2": 0}
-    # The suite still draws its random inputs through the validating
-    # constructors; only the spectral norm must stay off np.linalg.norm.
+    # A suite run still validates what `quad` and the witness constructions
+    # build; only the spectral norm must stay off np.linalg.norm.
     run_suites(SuiteConfig(seed=42, trials=2, suites=("lattice",)))
     assert counts["norm2"] == 0

@@ -11,8 +11,9 @@ and exits 1 if any differ::
     python3 tools/parity.py OLD/src NEW/src --import-times 12
 
 The command set is ``verify`` at seeds 42 and 7 on shapes 2,3, 4 and
-1,1,1,1, and at seed 42 on 8,8 and 5,7,3; ``verify --seed 3 --trials 6
---tol proj=1e-15``; the 28 file-golden commands of ``tests/test_golden.py``
+1,1,1,1, and at seed 42 on 8,8 and 5,7,3; ``verify --seed 42`` at
+``--trials`` 1 and 2 (stacks of one and two trials); ``verify --seed 3
+--trials 6 --tol proj=1e-15``; the 28 file-golden commands of ``tests/test_golden.py``
 on the inputs its ``write_inputs`` builds; and ``oml verify`` and ``oml
 report`` on ``oml gen boolean 6`` (pair a, b) and ``oml gen mo 31`` (pair
 a1, a2).
@@ -40,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY = [["verify", "--seed", seed, "--shape", shape]
           for seed in ("42", "7") for shape in ("2,3", "4", "1,1,1,1")]
 VERIFY += [["verify", "--seed", "42", "--shape", shape] for shape in ("8,8", "5,7,3")]
+VERIFY += [["verify", "--seed", "42", "--trials", trials] for trials in ("1", "2")]
 VERIFY.append(["verify", "--seed", "3", "--trials", "6", "--tol", "proj=1e-15"])
 OML = {"boolean6.oml": (["boolean", "6"], ["a", "b"]), "mo31.oml": (["mo", "31"], ["a1", "a2"])}
 WRITE_INPUTS = """
