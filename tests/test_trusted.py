@@ -1,4 +1,4 @@
-"""Results that core builds itself skip re-validation but lose nothing by it.
+"""Results that the package builds itself skip re-validation but lose nothing by it.
 
 Every path that wraps its result through the trusted constructor must give
 a value that the validating constructor accepts unchanged, bit for bit:

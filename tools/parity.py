@@ -13,10 +13,10 @@ and exits 1 if any differ::
 The command set is ``verify`` at seeds 42 and 7 on shapes 2,3, 4 and
 1,1,1,1, and at seed 42 on 8,8 and 5,7,3; ``verify --seed 42`` at
 ``--trials`` 1 and 2 (stacks of one and two trials); ``verify --seed 3
---trials 6 --tol proj=1e-15``; the 28 file-golden commands of ``tests/test_golden.py``
-on the inputs its ``write_inputs`` builds; and ``oml verify`` and ``oml
-report`` on ``oml gen boolean 6`` (pair a, b) and ``oml gen mo 31`` (pair
-a1, a2).
+--trials 6 --tol proj=1e-15``; the 28 file-golden commands of
+``tests/test_golden.py`` on the inputs its ``write_inputs`` builds; and
+``oml verify`` and ``oml report`` on ``oml gen boolean 6`` (pair a, b) and
+``oml gen mo 31`` (pair a1, a2).
 ``--ops DIR`` adds every call of a ``bench/prepare.py`` output directory,
 run inside DIR.  ``--import-times N`` times ``import synalg.cli`` in N fresh
 interpreters per tree, alternating, and prints the median and quartiles.
